@@ -25,7 +25,9 @@ cargo test -q --offline --workspace
 echo "== parallel-runner determinism under PARD_THREADS=2 =="
 # The suite asserts figure output is byte-identical across thread counts;
 # run it with a constrained pool to exercise the scheduling seams too.
-PARD_THREADS=2 cargo test -q --offline -p pard-bench --test determinism
+# fleet_trace compares a traced, fault-injected fleet at the ambient pool
+# size (2 here) against 1 and 4 workers.
+PARD_THREADS=2 cargo test -q --offline -p pard-bench --test determinism --test fleet_trace
 
 echo "== event-queue / kernel events-per-sec smoke =="
 # Must run to completion, write BENCH_kernel.json (kernel perf record),

@@ -1,11 +1,11 @@
 //! The shared last-level cache component (Fig. 4).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pard_cp::{shared, CpHandle, StatsHandle};
 use pard_icn::{cpu_cycles, DsId, MemKind, MemPacket, MemResp, PacketIdGen, PardEvent, TickKind};
+use pard_sim::hash::WordMap;
 use pard_sim::trace::{self, TraceCat, TraceVal};
 use pard_sim::{audit, Component, ComponentId, Ctx, Time};
 
@@ -91,7 +91,7 @@ pub struct Llc {
     waymasks: Vec<u64>,
     mem_ctrl: ComponentId,
     ids: PacketIdGen,
-    outstanding: HashMap<u64, MshrKey>,
+    outstanding: WordMap<u64, MshrKey>,
     win_hits: Vec<u64>,
     win_misses: Vec<u64>,
     active_ds: Vec<bool>,
@@ -117,7 +117,7 @@ impl Llc {
             waymasks: vec![u64::MAX; cfg.max_ds],
             mem_ctrl: ComponentId::UNWIRED,
             ids: PacketIdGen::new(),
-            outstanding: HashMap::new(),
+            outstanding: WordMap::default(),
             win_hits: vec![0; cfg.max_ds],
             win_misses: vec![0; cfg.max_ds],
             active_ds: vec![false; cfg.max_ds],

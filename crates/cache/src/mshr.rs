@@ -1,8 +1,7 @@
 //! Miss-status holding registers.
 
-use std::collections::HashMap;
-
 use pard_icn::{DsId, LAddr, PacketId};
+use pard_sim::hash::WordMap;
 use pard_sim::ComponentId;
 
 /// Identifies an outstanding miss: the pair `(DS-id, line address)`.
@@ -59,7 +58,7 @@ pub enum MshrOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mshr {
-    entries: HashMap<MshrKey, Vec<Waiter>>,
+    entries: WordMap<MshrKey, Vec<Waiter>>,
     capacity: usize,
 }
 
@@ -82,7 +81,7 @@ impl Mshr {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR capacity must be non-zero");
         Mshr {
-            entries: HashMap::new(),
+            entries: WordMap::default(),
             capacity,
         }
     }

@@ -1,12 +1,11 @@
 //! The CPU core model with its DS-id tag register.
 
-use std::collections::HashMap;
-
 use pard_cache::{CacheGeometry, L1Cache};
 use pard_icn::{
     cpu_cycles, CoreCommand, DiskRequest, DsId, MemKind, MemPacket, PacketId, PacketIdGen,
     PardEvent, TickKind,
 };
+use pard_sim::hash::WordMap;
 use pard_sim::stats::LatencySample;
 use pard_sim::{audit, Component, ComponentId, Ctx, Time};
 use pard_workloads::{Op, WorkloadEngine};
@@ -99,7 +98,7 @@ pub struct Core {
     ever_started: bool,
     wait: Wait,
     cursor: Time,
-    outstanding: HashMap<u64, Time>,
+    outstanding: WordMap<u64, Time>,
     ids: PacketIdGen,
     stats: CoreStats,
     started_at: Time,
@@ -129,7 +128,7 @@ impl Core {
             ever_started: false,
             wait: Wait::None,
             cursor: Time::ZERO,
-            outstanding: HashMap::new(),
+            outstanding: WordMap::default(),
             ids: PacketIdGen::new(),
             stats: CoreStats::default(),
             started_at: Time::ZERO,

@@ -49,19 +49,16 @@ impl PardServer {
         // Arm the tracer from `PARD_TRACE` / `PARD_TRACE_FILTER` and the
         // invariant auditor from `PARD_AUDIT` / `PARD_AUDIT_FILE` before
         // any component can emit (idempotent; no-ops when the env is
-        // unset). The machine's conservation ledger lives in its
-        // simulation, so no audit state carries over between machines.
+        // unset). The machine's ledger, trace sample countdowns and fault
+        // decisions live in its simulation, so none carry over between
+        // machines.
         trace::init_from_env();
         audit::init_from_env();
-        // The fault layer's decision state is per thread, not per machine:
-        // reset it (NIC loss RNG, IDE drop counter) so a plan installed
-        // before construction replays identically.
-        pard_sim::fault::begin_run();
         let mut sim: Simulation<PardEvent> = Simulation::new();
 
-        // The kernel event loop is instrumented through the simulation's
-        // event hook so the raw kernel stays hook-free when neither the
-        // tracer nor the auditor wants deliveries.
+        // The kernel trace category is fed through the simulation's event
+        // hook, which the kernel calls only for kept deliveries; the raw
+        // kernel stays hook-free when the category is off.
         sim.set_event_hook(Self::kernel_hook());
 
         // Memory controller.
@@ -166,25 +163,19 @@ impl PardServer {
         }
     }
 
-    /// The kernel event-loop observer (audit delivery counting + kernel
-    /// trace category).
+    /// The kernel trace category's event-loop observer.
     fn kernel_hook() -> Option<Box<dyn FnMut(Time, ComponentId, &PardEvent) + Send>> {
-        let trace_kernel = trace::enabled(TraceCat::Kernel);
-        if !trace_kernel && !audit::enabled() {
+        if !trace::enabled(TraceCat::Kernel) {
             return None;
         }
-        Some(Box::new(move |now, dst, ev: &PardEvent| {
-            audit::observe_delivery();
-            if trace_kernel {
-                let ds = ev.ds().map_or(u16::MAX, DsId::raw);
-                trace::emit(
-                    TraceCat::Kernel,
-                    now,
-                    ds,
-                    ev.kind_label(),
-                    &[("dst", TraceVal::U(u64::from(dst.raw())))],
-                );
-            }
+        Some(Box::new(|now, dst, ev: &PardEvent| {
+            trace::emit(
+                TraceCat::Kernel,
+                now,
+                ev.ds().map_or(u16::MAX, DsId::raw),
+                ev.kind_label(),
+                &[("dst", TraceVal::U(u64::from(dst.raw())))],
+            );
         }))
     }
 

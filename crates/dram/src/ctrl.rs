@@ -331,8 +331,6 @@ impl MemCtrl {
     }
 
     fn on_mem_req(&mut self, pkt: MemPacket, ctx: &mut Ctx<'_, PardEvent>) {
-        #[cfg(feature = "prof")]
-        let _t = crate::ctrl::prof::Scope::new(1);
         self.refresh_params();
         if audit::enabled() {
             // The controller is the terminal consumer of both the LLC →
@@ -472,8 +470,6 @@ impl MemCtrl {
     }
 
     fn on_tick(&mut self, ctx: &mut Ctx<'_, PardEvent>) {
-        #[cfg(feature = "prof")]
-        let _t = crate::ctrl::prof::Scope::new(0);
         let now = ctx.now();
         if self.next_tick_at <= now {
             self.tick_armed = false;
@@ -511,61 +507,16 @@ impl MemCtrl {
         // everything 0: strict in-order service from one queue, like the
         // stock controller.
         //
-        // FR-FCFS over a bounded reorder window: prefer a ready row-hit
-        // among the first `window` entries of the front rank bucket, else
-        // the oldest ready entry. Only the front bucket is inspected — a
-        // lower rank must fully stall before the next rank gets a turn.
-        fn pifo_pick(
-            q: &mut Pifo<Pending>,
-            banks: &[Bank],
-            now: Time,
-            window: usize,
-        ) -> Option<(u64, Pending)> {
-            let mut pick = None;
-            for (i, p) in q.front_iter().enumerate().take(window) {
-                let bank = &banks[p.loc.bank as usize];
-                if !bank.ready_at(now) {
-                    continue;
-                }
-                if bank.would_hit(p.loc.row, p.high) {
-                    pick = Some(i);
-                    break;
-                }
-                if pick.is_none() {
-                    pick = Some(i);
-                }
-            }
-            pick.and_then(|i| q.remove_front(i))
-        }
-        fn fr_fcfs_pick(
-            q: &mut VecDeque<Pending>,
-            banks: &[Bank],
-            now: Time,
-            window: usize,
-        ) -> Option<Pending> {
-            let mut pick = None;
-            for (i, p) in q.iter().enumerate().take(window) {
-                let bank = &banks[p.loc.bank as usize];
-                if !bank.ready_at(now) {
-                    continue;
-                }
-                if bank.would_hit(p.loc.row, p.high) {
-                    pick = Some(i);
-                    break;
-                }
-                if pick.is_none() {
-                    pick = Some(i);
-                }
-            }
-            pick.and_then(|i| q.remove(i))
-        }
-
+        // FR-FCFS over a bounded reorder window (`fr_fcfs`) on the front
+        // rank bucket only — a lower rank must fully stall before the
+        // next rank gets a turn.
         const CLASS_WINDOW: usize = 16;
         // Forced write drain: if the write buffer is deep, writes take a
         // turn even while reads are pending (real controllers bound their
         // write occupancy the same way).
         let mut chosen = if self.wb_q.len() > 64 {
-            fr_fcfs_pick(&mut self.wb_q, &self.banks, now, CLASS_WINDOW)
+            fr_fcfs(self.wb_q.iter(), &self.banks, now, CLASS_WINDOW)
+                .and_then(|i| self.wb_q.remove(i))
         } else {
             None
         };
@@ -575,7 +526,8 @@ impl MemCtrl {
             } else {
                 self.cfg.baseline_window
             };
-            if let Some((rank, p)) = pifo_pick(&mut self.queue, &self.banks, now, window) {
+            let pick = fr_fcfs(self.queue.front_iter(), &self.banks, now, window);
+            if let Some((rank, p)) = pick.and_then(|i| self.queue.remove_front(i)) {
                 // WFQ-ranked programs advance their virtual clock on
                 // service. Per-DS-pure programs (decision cache active)
                 // cannot contain `wfq`, so their virtual clock is dead
@@ -588,7 +540,8 @@ impl MemCtrl {
         }
         // Otherwise the write buffer drains when no read can issue.
         if chosen.is_none() {
-            chosen = fr_fcfs_pick(&mut self.wb_q, &self.banks, now, CLASS_WINDOW);
+            chosen = fr_fcfs(self.wb_q.iter(), &self.banks, now, CLASS_WINDOW)
+                .and_then(|i| self.wb_q.remove(i));
         }
 
         if let Some(p) = chosen {
@@ -609,8 +562,6 @@ impl MemCtrl {
     }
 
     fn next_interesting_time(&self, now: Time) -> Time {
-        #[cfg(feature = "prof")]
-        let _n = crate::ctrl::prof::Scope::new(1);
         // Earliest time a schedulable request's bank frees, but no sooner
         // than the next memory cycle. Only requests the arbiter could
         // actually pick next matter: the reorder window of the PIFO's
@@ -636,7 +587,6 @@ impl MemCtrl {
             };
             self.queue.front_iter().take(window).for_each(&mut consider);
         }
-        let _ = &mut consider;
         if earliest == Time::MAX || self.wb_q.len() > 64 {
             for p in self.wb_q.iter().take(WINDOW) {
                 let b = &self.banks[p.loc.bank as usize];
@@ -652,8 +602,6 @@ impl MemCtrl {
     }
 
     fn serve(&mut self, p: Pending, now: Time, ctx: &mut Ctx<'_, PardEvent>) {
-        #[cfg(feature = "prof")]
-        let _t = crate::ctrl::prof::Scope::new(2);
         let timing = self.cfg.timing;
         let rank = p.loc.rank as usize;
         let bank_idx = p.loc.bank as usize;
@@ -824,6 +772,31 @@ impl MemCtrl {
         let window = self.cfg.window;
         ctx.send(ctx.self_id(), window, PardEvent::Tick(TickKind::CpWindow));
     }
+}
+
+/// FR-FCFS over a bounded reorder window: the index of the first ready
+/// row-hit among the first `window` entries, else of the oldest ready
+/// entry among them.
+fn fr_fcfs<'a>(
+    entries: impl Iterator<Item = &'a Pending>,
+    banks: &[Bank],
+    now: Time,
+    window: usize,
+) -> Option<usize> {
+    let mut pick = None;
+    for (i, p) in entries.enumerate().take(window) {
+        let bank = &banks[p.loc.bank as usize];
+        if !bank.ready_at(now) {
+            continue;
+        }
+        if bank.would_hit(p.loc.row, p.high) {
+            return Some(i);
+        }
+        if pick.is_none() {
+            pick = Some(i);
+        }
+    }
+    pick
 }
 
 impl Component<PardEvent> for MemCtrl {
@@ -1194,64 +1167,5 @@ mod tests {
             let (_, at) = c.responses[0];
             assert_eq!(at, t.trcd + t.tcl + t.burst_time() * 64);
         });
-    }
-}
-
-/// Crude section profiler, enabled by the `prof` feature (dev only).
-#[cfg(feature = "prof")]
-pub mod prof {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Instant;
-
-    pub static NS: [AtomicU64; 6] = [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ];
-    pub static CALLS: [AtomicU64; 6] = [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ];
-
-    pub struct Scope {
-        which: usize,
-        start: Instant,
-    }
-    impl Scope {
-        pub fn new(which: usize) -> Self {
-            Scope {
-                which,
-                start: Instant::now(),
-            }
-        }
-    }
-    impl Drop for Scope {
-        fn drop(&mut self) {
-            NS[self.which].fetch_add(self.start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            CALLS[self.which].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Dumps and resets the counters.
-    pub fn dump() {
-        for (i, name) in ["on_tick", "next_interesting_time", "serve"]
-            .iter()
-            .enumerate()
-        {
-            let ns = NS[i].swap(0, Ordering::Relaxed);
-            let calls = CALLS[i].swap(0, Ordering::Relaxed);
-            eprintln!(
-                "{name}: {calls} calls, {:.1} ms total, {:.0} ns/call",
-                ns as f64 / 1e6,
-                ns as f64 / calls.max(1) as f64
-            );
-        }
     }
 }

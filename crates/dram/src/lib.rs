@@ -47,7 +47,3 @@ pub use cpdef::{
 pub use ctrl::{MemCtrl, MemCtrlConfig, QueueingStats};
 pub use geometry::{BankAddr, DramGeometry};
 pub use timing::DramTiming;
-
-/// Re-export of the dev profiler dump (enabled by the `prof` feature).
-#[cfg(feature = "prof")]
-pub use ctrl::prof::dump as ctrl_prof_dump;

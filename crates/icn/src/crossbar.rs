@@ -1,7 +1,6 @@
 //! The on-chip crossbar between cores and the shared LLC.
 
-use std::collections::HashMap;
-
+use pard_sim::hash::WordMap;
 use pard_sim::{audit, fault, Component, ComponentId, Ctx, Time};
 
 use crate::clock::cpu_cycles;
@@ -42,7 +41,7 @@ impl Default for CrossbarConfig {
 pub struct Crossbar {
     cfg: CrossbarConfig,
     dst: ComponentId,
-    ports: HashMap<u32, Link>,
+    ports: WordMap<u32, Link>,
     forwarded: u64,
 }
 
@@ -52,7 +51,7 @@ impl Crossbar {
         Crossbar {
             cfg,
             dst,
-            ports: HashMap::new(),
+            ports: WordMap::default(),
             forwarded: 0,
         }
     }

@@ -41,25 +41,25 @@
 //! duplicate injections, DS-id mutations observed at any hop, and
 //! unmatched interrupt retirements.
 //!
-//! Each simulated machine owns its ledger: one lives inside its
-//! [`Simulation`](crate::Simulation), and the kernel lends it to the
-//! calling thread for the length of each `run` / `run_until` / `step` /
-//! `with_component` call. The ledger operations below act on the lent
-//! ledger, so machines interleaved on one thread, or moved to a different
-//! thread between calls (the fleet's `par_map`), never see each other's
-//! packets — machine A's packet `(xbar, src 3, id 17)` never collides with
-//! machine B's, although both allocate packet ids from zero. Outside any
-//! lend (a harness driving a component by hand) the operations fall back
-//! to a thread-local ledger of their own.
+//! Each simulated machine owns its ledger: it is part of the run state
+//! inside its [`Simulation`](crate::Simulation), which the kernel lends to
+//! the calling thread for the length of each `run` / `run_until` / `step`
+//! / `with_component` call (see `DESIGN.md` §10). The ledger operations
+//! below act on the lent ledger, so machines interleaved on one thread, or
+//! moved to a different thread between calls (the fleet's `par_map`),
+//! never see each other's packets — machine A's packet `(xbar, src 3,
+//! id 17)` never collides with machine B's, although both allocate packet
+//! ids from zero. Outside any lend (a harness driving a component by hand)
+//! the operations fall back to a thread-local ledger of their own.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fs::File;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::io::{BufWriter, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
+use crate::hash::WordMap;
 use crate::time::Time;
 use crate::trace::{format_ns, TraceVal};
 
@@ -175,8 +175,8 @@ struct AuditState {
 /// 0 = off, 1 = report, 2 = strict. The one and only hot-path cost.
 static MODE: AtomicU8 = AtomicU8::new(0);
 static STATE: Mutex<Option<AuditState>> = Mutex::new(None);
-/// Kernel-loop deliveries observed by the audit hook (relaxed counter so
-/// the hook never takes a lock).
+/// Kernel-loop deliveries made while auditing was on (the kernel adds
+/// each run call's count once, at the end of the call).
 static OBSERVED: AtomicU64 = AtomicU64::new(0);
 /// Catch-all protocol-violation arms hit; counted even when auditing is
 /// off so release builds no longer swallow misrouted packets silently.
@@ -228,36 +228,9 @@ impl Hash for PacketKey {
     }
 }
 
-/// A multiplicative hasher for the ledger's small integer keys (the
-/// Fx-hash recipe): one rotate, xor and multiply per word, against
-/// SipHash's per-key rounds on every audited packet hop.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
-
 /// One simulated machine's conservation state: its in-flight packets and
-/// outstanding interrupts. A [`Simulation`](crate::Simulation) owns one
-/// and [`lend`]s it to the running thread.
+/// outstanding interrupts. Part of the run state a
+/// [`Simulation`](crate::Simulation) owns and lends to the running thread.
 #[derive(Default)]
 pub(crate) struct Ledger {
     /// In-flight packets: key → the DS-id they were injected with.
@@ -268,6 +241,11 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
+    const EMPTY: Ledger = Ledger {
+        packets: WordMap::with_hasher(BuildHasherDefault::new()),
+        irq: WordMap::with_hasher(BuildHasherDefault::new()),
+    };
+
     /// Packets (and outstanding interrupts) currently in flight. After a
     /// full drain this is zero; at a mid-flight run deadline it may not
     /// be, by design.
@@ -280,30 +258,13 @@ impl Ledger {
 thread_local! {
     /// The ledger the calling thread's ledger operations act on: the one
     /// currently lent by a running simulation, or this thread's own.
-    static ACTIVE: RefCell<Ledger> = RefCell::new(Ledger::default());
+    static ACTIVE: RefCell<Ledger> = const { RefCell::new(Ledger::EMPTY) };
 }
 
-/// A ledger lent to the calling thread by [`lend`]; dropping it hands the
-/// ledger back, also when a strict-audit panic unwinds through the call.
-pub(crate) struct Lend<'a>(&'a mut Ledger);
-
-/// Lends `ledger` to the calling thread until the returned guard drops:
-/// every ledger operation on this thread acts on it meanwhile. Lends nest
-/// (the guard restores whatever was active before). `None`, at no cost,
-/// while auditing is off.
-#[inline]
-pub(crate) fn lend(ledger: &mut Ledger) -> Option<Lend<'_>> {
-    if !enabled() {
-        return None;
-    }
+/// Swaps `ledger` with the calling thread's active one (the run-state
+/// lend, `crate::run`, calls it on entry and again on exit).
+pub(crate) fn swap_active(ledger: &mut Ledger) {
     ACTIVE.with(|a| std::mem::swap(&mut *a.borrow_mut(), ledger));
-    Some(Lend(ledger))
-}
-
-impl Drop for Lend<'_> {
-    fn drop(&mut self) {
-        ACTIVE.with(|a| std::mem::swap(&mut *a.borrow_mut(), self.0));
-    }
 }
 
 /// Runs `f` against the calling thread's active ledger.
@@ -629,14 +590,14 @@ pub fn unexpected_event(component: &'static str, kind: &'static str, time: Time,
     }
 }
 
-/// Counts one kernel-loop delivery (called from the system model's event
-/// hook when auditing is on; a relaxed add, never a lock).
+/// Adds `n` kernel-loop deliveries to the process count (the kernel calls
+/// this once per run call while auditing is on).
 #[inline]
-pub fn observe_delivery() {
-    OBSERVED.fetch_add(1, Ordering::Relaxed);
+pub(crate) fn add_deliveries(n: u64) {
+    OBSERVED.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Kernel-loop deliveries observed by the audit hook since process start.
+/// Kernel-loop deliveries made while auditing was on, since process start.
 pub fn deliveries_observed() -> u64 {
     OBSERVED.load(Ordering::Relaxed)
 }
@@ -682,7 +643,7 @@ pub fn first_violation() -> Option<String> {
 
 /// Appends a summary line to the sink (the system model calls this when it
 /// shuts down): total violations, per-kind counts, and the number of
-/// kernel deliveries the audit hook observed.
+/// kernel deliveries made while auditing was on.
 pub fn emit_summary(now: Time) {
     if !enabled() {
         return;
@@ -715,6 +676,7 @@ pub fn emit_summary(now: Time) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{lend, RunState};
 
     // The auditor is process-global, so every test that installs it runs
     // inside this single test function to avoid cross-test interference.
@@ -793,7 +755,7 @@ mod tests {
         // nests, and dropping the guard hands each ledger back intact.
         let ambient = in_flight();
         let before = violations_total();
-        let (mut a, mut b) = (Ledger::default(), Ledger::default());
+        let (mut a, mut b) = (RunState::default(), RunState::default());
         {
             let _a = lend(&mut a);
             assert_eq!(in_flight(), 0, "a lent ledger shadows the thread's own");
@@ -806,7 +768,7 @@ mod tests {
             assert_eq!(in_flight(), 1, "the outer lend is restored");
         }
         assert_eq!(in_flight(), ambient);
-        assert_eq!((a.in_flight(), b.in_flight()), (1, 1));
+        assert_eq!((a.ledger.in_flight(), b.ledger.in_flight()), (1, 1));
         assert_eq!(
             violations_total(),
             before,
@@ -823,7 +785,7 @@ mod tests {
         })
         .join()
         .unwrap();
-        assert_eq!(b.in_flight(), 0);
+        assert_eq!(b.ledger.in_flight(), 0);
         assert_eq!(
             violations_total(),
             before + 1,
@@ -840,14 +802,14 @@ mod tests {
         assert_eq!(violations_total(), 1);
         // A strict abort inside a lend hands the ledger back rather than
         // leaking it into the thread.
-        let mut c = Ledger::default();
+        let mut c = RunState::default();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _c = lend(&mut c);
             packet_inject(Domain::Dma, 4, 50, 2, Time::ZERO);
             packet_inject(Domain::Dma, 4, 50, 2, Time::ZERO);
         }));
         assert!(panicked.is_err(), "a duplicate injection aborts");
-        assert_eq!(c.in_flight(), 1, "the unwinding lend returned the ledger");
+        assert_eq!(c.ledger.in_flight(), 1, "the unwinding lend returned the ledger");
         assert_eq!(in_flight(), ambient, "and left the thread's own in place");
 
         disable();

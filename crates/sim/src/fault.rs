@@ -7,7 +7,8 @@
 //! Exercising that loop needs faults, and faults in a deterministic
 //! simulator must themselves be deterministic. This module provides the
 //! schedule: a [`FaultPlan`] — a seed plus a list of [`FaultEvent`]
-//! windows — installed process-globally like the trace and audit layers.
+//! windows — installed process-globally like the trace and audit
+//! configuration.
 //!
 //! # Fault taxonomy
 //!
@@ -32,29 +33,35 @@
 //! # Determinism contract
 //!
 //! All injection decisions are pure functions of the installed plan, the
-//! query arguments (simulated time, bank, port) and a per-run decision
-//! state seeded from [`FaultPlan::seed`] via
-//! [`stream_rng`]. The decision state is
-//! thread-local and reset by [`begin_run`] (called when a server is
-//! constructed), so parallel experiment runs under different
-//! `PARD_THREADS` settings replay identical fault decisions: each run
-//! owns one worker thread for its whole lifetime, and its decision
-//! sequence depends only on its own deterministic event order.
+//! query arguments (simulated time, bank, port) and a per-machine
+//! decision state: a snapshot of the plan, the NIC loss RNG (seeded from
+//! [`FaultPlan::seed`] via [`stream_rng`]) and the IDE drop counter. The
+//! decision state belongs to the simulated machine: it is part of the run
+//! state its [`Simulation`](crate::Simulation) lends to whichever thread
+//! runs it (`crate::run`). A machine's decision sequence therefore
+//! depends only on its own event order — not on which worker thread runs
+//! which machine under any `PARD_THREADS`, nor on other machines
+//! interleaved on the same thread. A fresh machine starts a fresh
+//! sequence, and every [`install`] / [`disable`] restarts every machine's
+//! sequence on its next query. Queries outside any machine (unit tests
+//! driving components by hand) use the calling thread's own state.
 //!
 //! # Cost when disabled
 //!
 //! Same pattern as [`trace`](crate::trace) and [`audit`](crate::audit):
 //! a single relaxed atomic load ([`enabled`]) guards every hot path. No
 //! plan — or an empty plan — publishes a zero mask, and every simulation
-//! byte-identically matches an un-faulted build.
+//! byte-identically matches an un-faulted build. A query behind the guard
+//! reads the machine's plan snapshot; it takes the plan lock only on the
+//! first query after an [`install`] / [`disable`].
 //!
 //! The JSON spec format for fault plans (the `PARD_FAULT_PLAN`
 //! environment contract) is parsed by `pard-bench::fault_spec`, which
 //! depends on this crate — the simulator core stays dependency-free.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::rng::{stream_rng, Rng, Xoshiro256pp};
 use crate::time::Time;
@@ -202,24 +209,68 @@ impl FaultPlan {
 static ACTIVE: AtomicU32 = AtomicU32::new(0);
 
 /// The installed plan. Plain `Mutex` (not `OnceLock`) so tests can
-/// install/disable repeatedly.
-static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
+/// install/disable repeatedly; machines query their own snapshot of it.
+static PLAN: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
 
-thread_local! {
-    /// Per-run decision state; see the module-level determinism
-    /// contract.
-    static RUN: RefCell<RunState> = const { RefCell::new(RunState { nic_rng: None, ide_considered: 0 }) };
-}
+/// Counts [`install`] / [`disable`] calls, so a machine's decision state
+/// can tell that its plan snapshot is stale.
+static GENERATION: AtomicU64 = AtomicU64::new(0);
 
-struct RunState {
-    /// Lazily seeded from the installed plan on first use after
-    /// [`begin_run`].
+/// One machine's fault decision state. Part of the lent run state
+/// (`crate::run`); see the module-level determinism contract.
+#[derive(Default)]
+pub(crate) struct Decisions {
+    /// The [`GENERATION`] the snapshot was taken at; 0 = none yet.
+    generation: u64,
+    /// The plan installed at `generation`.
+    plan: Option<Arc<FaultPlan>>,
+    /// Seeded from the plan on first use.
     nic_rng: Option<Xoshiro256pp>,
-    /// Requests considered by the IDE drop decider this run.
+    /// Requests considered by the IDE drop decider so far.
     ide_considered: u64,
 }
 
-fn lock_plan() -> std::sync::MutexGuard<'static, Option<FaultPlan>> {
+thread_local! {
+    /// The decision state the calling thread's queries act on: the lent
+    /// machine's, or the thread's own.
+    static ACTIVE_RUN: RefCell<Decisions> = const {
+        RefCell::new(Decisions {
+            generation: 0,
+            plan: None,
+            nic_rng: None,
+            ide_considered: 0,
+        })
+    };
+}
+
+/// Swaps `decisions` with the calling thread's active decision state.
+pub(crate) fn swap_active(decisions: &mut Decisions) {
+    ACTIVE_RUN.with(|a| std::mem::swap(&mut *a.borrow_mut(), decisions));
+}
+
+/// Runs `f` on the active decision state, first restarting it from the
+/// installed plan if that changed since the state's snapshot.
+fn with_decisions<R>(f: impl FnOnce(&mut Decisions) -> R) -> R {
+    ACTIVE_RUN.with(|a| {
+        let mut d = a.borrow_mut();
+        let generation = GENERATION.load(Ordering::Acquire);
+        if d.generation != generation {
+            *d = Decisions {
+                generation,
+                plan: lock_plan().clone(),
+                ..Decisions::default()
+            };
+        }
+        f(&mut d)
+    })
+}
+
+/// The active plan snapshot's events (empty when no plan is installed).
+fn with_events<R>(f: impl FnOnce(&[FaultEvent]) -> R) -> R {
+    with_decisions(|d| f(d.plan.as_ref().map_or(&[], |p| &p.events)))
+}
+
+fn lock_plan() -> std::sync::MutexGuard<'static, Option<Arc<FaultPlan>>> {
     PLAN.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -235,83 +286,73 @@ pub fn installed() -> bool {
     lock_plan().is_some()
 }
 
+/// Whether any fault class is scheduled.
+#[inline]
+pub(crate) fn on() -> bool {
+    ACTIVE.load(Ordering::Relaxed) != 0
+}
+
 /// Installs `plan` process-globally and publishes its class mask.
 ///
 /// An empty plan publishes a zero mask: every [`enabled`] query stays
 /// false and the simulation is byte-identical to an un-faulted run.
 pub fn install(plan: FaultPlan) {
     let mask = plan.class_mask();
-    *lock_plan() = Some(plan);
+    let mut guard = lock_plan();
+    *guard = Some(Arc::new(plan));
+    GENERATION.fetch_add(1, Ordering::Release);
     ACTIVE.store(mask, Ordering::Release);
-    begin_run();
 }
 
 /// Removes the installed plan and clears the guard mask.
 pub fn disable() {
+    let mut guard = lock_plan();
     ACTIVE.store(0, Ordering::Release);
-    *lock_plan() = None;
-    begin_run();
-}
-
-/// Resets the calling thread's per-run decision state. Called when a
-/// server is constructed, so every run replays the same decision
-/// sequence regardless of which worker thread hosts it.
-pub fn begin_run() {
-    RUN.with(|r| {
-        let mut r = r.borrow_mut();
-        r.nic_rng = None;
-        r.ide_considered = 0;
-    });
+    *guard = None;
+    GENERATION.fetch_add(1, Ordering::Release);
 }
 
 /// Extra DRAM service latency for an access to flat-indexed `bank` at
 /// `now`: the sum over active [`FaultKind::DramSlow`] windows matching
 /// the bank. Call only behind [`enabled`]`(FaultClass::Dram)`.
 pub fn dram_extra_delay(bank: u32, now: Time) -> Time {
-    let plan = lock_plan();
-    let Some(plan) = plan.as_ref() else {
-        return Time::ZERO;
-    };
-    let mut total = Time::ZERO;
-    for e in &plan.events {
-        if let FaultKind::DramSlow { banks, extra } = &e.kind {
-            if e.active_at(now) && banks.as_ref().is_none_or(|b| b.contains(&bank)) {
-                total += *extra;
+    with_events(|events| {
+        let mut total = Time::ZERO;
+        for e in events {
+            if let FaultKind::DramSlow { banks, extra } = &e.kind {
+                if e.active_at(now) && banks.as_ref().is_none_or(|b| b.contains(&bank)) {
+                    total += *extra;
+                }
             }
         }
-    }
-    total
+        total
+    })
 }
 
 /// The IDE quantum scaling in percent at `now` (100 = undegraded): the
 /// minimum `quota_pct` over active [`FaultKind::IdeDegrade`] windows.
 pub fn ide_quota_pct(now: Time) -> u32 {
-    let plan = lock_plan();
-    let Some(plan) = plan.as_ref() else {
-        return 100;
-    };
-    let mut pct = 100;
-    for e in &plan.events {
-        if let FaultKind::IdeDegrade { quota_pct, .. } = e.kind {
-            if e.active_at(now) {
-                pct = pct.min(quota_pct.min(100));
+    with_events(|events| {
+        let mut pct = 100;
+        for e in events {
+            if let FaultKind::IdeDegrade { quota_pct, .. } = e.kind {
+                if e.active_at(now) {
+                    pct = pct.min(quota_pct.min(100));
+                }
             }
         }
-    }
-    pct
+        pct
+    })
 }
 
 /// Whether the IDE quota engine should abort the request it is
-/// currently considering. Deterministic: the run-local consideration
+/// currently considering. Deterministic: the machine's consideration
 /// counter advances only while a drop window is active, and every
 /// `drop_one_in`-th consideration drops.
 pub fn ide_should_drop(now: Time) -> bool {
-    let divisor = {
-        let plan = lock_plan();
-        let Some(plan) = plan.as_ref() else {
-            return false;
-        };
-        plan.events
+    with_decisions(|d| {
+        let events = d.plan.as_ref().map_or(&[][..], |p| &p.events);
+        let divisor = events
             .iter()
             .filter_map(|e| match e.kind {
                 FaultKind::IdeDegrade { drop_one_in, .. }
@@ -321,15 +362,12 @@ pub fn ide_should_drop(now: Time) -> bool {
                 }
                 _ => None,
             })
-            .min()
-    };
-    let Some(divisor) = divisor else {
-        return false;
-    };
-    RUN.with(|r| {
-        let mut r = r.borrow_mut();
-        r.ide_considered += 1;
-        r.ide_considered % u64::from(divisor) == 0
+            .min();
+        let Some(divisor) = divisor else {
+            return false;
+        };
+        d.ide_considered += 1;
+        d.ide_considered % u64::from(divisor) == 0
     })
 }
 
@@ -338,9 +376,8 @@ pub fn ide_should_drop(now: Time) -> bool {
 /// consumed only while a flap window is active, so runs without flap
 /// traffic stay byte-identical.
 pub fn nic_frame_lost(now: Time) -> bool {
-    let (seed, loss_pct) = {
-        let plan = lock_plan();
-        let Some(plan) = plan.as_ref() else {
+    with_decisions(|d| {
+        let Some(plan) = d.plan.as_ref() else {
             return false;
         };
         let loss = plan
@@ -351,14 +388,11 @@ pub fn nic_frame_lost(now: Time) -> bool {
                 _ => None,
             })
             .max();
-        match loss {
-            Some(l) => (plan.seed, l.min(100)),
-            None => return false,
-        }
-    };
-    RUN.with(|r| {
-        let mut r = r.borrow_mut();
-        let rng = r
+        let Some(loss_pct) = loss.map(|l| l.min(100)) else {
+            return false;
+        };
+        let seed = plan.seed;
+        let rng = d
             .nic_rng
             .get_or_insert_with(|| stream_rng(seed, "fault.nic"));
         rng.gen_range(0u32..100) < loss_pct
@@ -369,24 +403,23 @@ pub fn nic_frame_lost(now: Time) -> bool {
 /// `now`: the sum over active [`FaultKind::XbarBackpressure`] windows
 /// matching the port.
 pub fn xbar_extra_delay(port: u32, now: Time) -> Time {
-    let plan = lock_plan();
-    let Some(plan) = plan.as_ref() else {
-        return Time::ZERO;
-    };
-    let mut total = Time::ZERO;
-    for e in &plan.events {
-        if let FaultKind::XbarBackpressure { port: p, extra } = &e.kind {
-            if e.active_at(now) && p.is_none_or(|p| p == port) {
-                total += *extra;
+    with_events(|events| {
+        let mut total = Time::ZERO;
+        for e in events {
+            if let FaultKind::XbarBackpressure { port: p, extra } = &e.kind {
+                if e.active_at(now) && p.is_none_or(|p| p == port) {
+                    total += *extra;
+                }
             }
         }
-    }
-    total
+        total
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{lend, RunState};
 
     /// Process-global state: everything in one test function (same
     /// discipline as the trace and audit suites) so parallel test
@@ -443,7 +476,7 @@ mod tests {
             .with(
                 Time::from_us(10),
                 Time::from_us(20),
-                FaultKind::NicFlap { loss_pct: 100 },
+                FaultKind::NicFlap { loss_pct: 50 },
             )
             .with(
                 Time::from_us(10),
@@ -476,26 +509,50 @@ mod tests {
         assert_eq!(xbar_extra_delay(8, inside), Time::ZERO);
 
         // Drop decisions: every 2nd consideration inside the window,
-        // none outside, and byte-identical across runs after
-        // begin_run().
-        begin_run();
-        let seq: Vec<bool> = (0..6).map(|_| ide_should_drop(inside)).collect();
-        assert_eq!(seq, vec![false, true, false, true, false, true]);
-        assert!(!ide_should_drop(outside));
-        begin_run();
-        let replay: Vec<bool> = (0..6).map(|_| ide_should_drop(inside)).collect();
-        assert_eq!(seq, replay);
+        // none outside. Each machine counts on its own lent state, so two
+        // machines interleaved on one thread, or one moved to another
+        // thread, each see the solo sequence.
+        fn drops(state: &mut RunState, now: Time, n: usize) -> Vec<bool> {
+            let _lend = lend(state);
+            (0..n).map(|_| ide_should_drop(now)).collect()
+        }
+        let (mut a, mut b) = (RunState::default(), RunState::default());
+        assert_eq!(drops(&mut a, inside, 3), vec![false, true, false]);
+        assert_eq!(drops(&mut b, inside, 3), vec![false, true, false]);
+        assert!(drops(&mut a, outside, 2).iter().all(|d| !d));
+        assert_eq!(drops(&mut a, inside, 3), vec![true, false, true]);
+        let b = std::thread::spawn(move || {
+            let mut b = b;
+            assert_eq!(drops(&mut b, inside, 3), vec![true, false, true]);
+            b
+        })
+        .join()
+        .unwrap();
+        assert_eq!(b.faults.ide_considered, 6);
+        // The thread's own state outside any lend; re-installing the plan
+        // restarts it.
+        let own: Vec<bool> = (0..3).map(|_| ide_should_drop(inside)).collect();
+        assert_eq!(own, vec![false, true, false]);
+        install(plan.clone());
+        assert!(!ide_should_drop(inside), "install restarts the sequence");
 
-        // 100 % loss drops every in-window frame; out-of-window frames
-        // pass without consuming the stream.
-        begin_run();
-        assert!(!nic_frame_lost(outside));
-        assert!(nic_frame_lost(inside));
-        let a: Vec<bool> = (0..8).map(|_| nic_frame_lost(inside)).collect();
-        begin_run();
-        assert!(nic_frame_lost(inside));
-        let b: Vec<bool> = (0..8).map(|_| nic_frame_lost(inside)).collect();
-        assert_eq!(a, b);
+        // Frame loss draws from the machine's own plan-seeded stream, and
+        // out-of-window frames pass without consuming it.
+        fn losses(state: &mut RunState, now: Time, n: usize) -> Vec<bool> {
+            let _lend = lend(state);
+            (0..n).map(|_| nic_frame_lost(now)).collect()
+        }
+        let solo = losses(&mut RunState::default(), inside, 32);
+        assert!(solo.contains(&true) && solo.contains(&false), "{solo:?}");
+        let (mut a, mut b) = (RunState::default(), RunState::default());
+        assert!(losses(&mut b, outside, 4).iter().all(|l| !l));
+        let mut interleaved = (Vec::new(), Vec::new());
+        for _ in 0..4 {
+            interleaved.0.extend(losses(&mut a, inside, 8));
+            interleaved.1.extend(losses(&mut b, inside, 8));
+        }
+        assert_eq!(interleaved.0, solo);
+        assert_eq!(interleaved.1, solo);
 
         // Class helpers round-trip.
         assert_eq!(FaultClass::Dram.name(), "dram_slow");

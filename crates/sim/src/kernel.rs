@@ -10,8 +10,9 @@
 use crate::audit;
 use crate::component::{Component, ComponentId};
 use crate::event::EventQueue;
+use crate::run::{self, RunState};
 use crate::time::Time;
-use crate::trace::TraceVal;
+use crate::trace::{self, TraceVal};
 
 /// The scheduling context handed to a component while it handles an event.
 ///
@@ -64,34 +65,45 @@ impl<E> Ctx<'_, E> {
 }
 
 /// A complete simulated machine: a registry of components, the event loop
-/// that drives them, and the machine's conservation ledger.
+/// that drives them, and the machine's run state.
 ///
-/// The conservation ledger (see [`audit`]) belongs to the machine, not
-/// to a thread: [`run`](Simulation::run), [`run_until`](Simulation::run_until),
+/// The run state — the conservation ledger ([`audit`]), the trace sample
+/// countdowns ([`trace`]) and the fault decision state
+/// ([`fault`](crate::fault)) — belongs to the machine, not to a thread:
+/// [`run`](Simulation::run), [`run_until`](Simulation::run_until),
 /// [`step`](Simulation::step) and
 /// [`with_component`](Simulation::with_component) lend it to the calling
-/// thread for the length of the call (only while auditing is on), so
-/// audited machines stay correct however they are interleaved on, or
-/// moved between, threads.
+/// thread for the length of the call (only while auditing, tracing or
+/// fault injection is on), so a machine's audit, trace and fault
+/// decisions stay its own however machines are interleaved on, or moved
+/// between, threads.
 ///
 /// See the [crate-level documentation](crate) for a full example.
 pub struct Simulation<E> {
     kernel: Kernel<E>,
-    ledger: audit::Ledger,
+    run: RunState,
 }
 
-/// The event loop proper; [`Simulation`] wraps it with the ledger lend.
+/// The event loop proper; [`Simulation`] wraps it with the run-state lend.
 struct Kernel<E> {
     components: Vec<Option<Box<dyn Component<E>>>>,
     queue: EventQueue<E>,
     now: Time,
     stop_requested: bool,
     events_processed: u64,
-    /// Observer invoked for every delivered event (see
-    /// [`set_event_hook`](Simulation::set_event_hook)). `None` in normal
-    /// operation, so the delivery loop pays only a branch. `Send` because
-    /// whole machines move between `par_map` worker threads.
+    /// Observer invoked for the deliveries the kernel trace category
+    /// keeps (see [`set_event_hook`](Simulation::set_event_hook)). `None`
+    /// in normal operation, so the delivery loop pays only a branch.
+    /// `Send` because whole machines move between `par_map` worker
+    /// threads.
     event_hook: Option<Box<dyn FnMut(Time, ComponentId, &E) + Send>>,
+    /// The hook sees one delivery in `hook_every`; `hook_left` more are
+    /// skipped before the next one it sees. Re-read from the tracer at
+    /// every run call and restarted when the tracer's generation
+    /// (`hook_generation`) changes.
+    hook_every: u32,
+    hook_left: u32,
+    hook_generation: u32,
     /// `(time, seq)` of the last delivered event; the invariant auditor
     /// checks lexicographic pop order against it. Only touched when
     /// auditing is on.
@@ -114,21 +126,29 @@ impl<E: 'static> Simulation<E> {
                 stop_requested: false,
                 events_processed: 0,
                 event_hook: None,
+                hook_every: 1,
+                hook_left: 0,
+                hook_generation: 0,
                 audit_last: None,
             },
-            ledger: audit::Ledger::default(),
+            run: RunState::default(),
         }
     }
 
-    /// Installs an observer called for every delivered event, before the
-    /// destination component handles it.
+    /// Installs an observer called for delivered events, before the
+    /// destination component handles them.
     ///
     /// The hook is a pure observer — it receives the delivery time, the
     /// destination, and a borrow of the event, and cannot schedule events
     /// or mutate components, so it can never perturb a run. The system
     /// model uses it to feed the kernel trace category
-    /// ([`crate::trace`]); harnesses may use it for ad-hoc event counting.
-    /// Pass-through cost when no hook is installed is a single branch.
+    /// ([`crate::trace`]), so the kernel shows it the deliveries that
+    /// category keeps: while the kernel category is traced 1-in-N without
+    /// a DS-id filter, every N-th delivery of this machine (counting from
+    /// its first after the tracer was installed); otherwise every
+    /// delivery, which is what harnesses counting events see with tracing
+    /// off. Sampled-out deliveries cost a counter decrement; with no hook
+    /// installed the cost is a single branch.
     pub fn set_event_hook(&mut self, hook: Option<Box<dyn FnMut(Time, ComponentId, &E) + Send>>) {
         self.kernel.event_hook = hook;
     }
@@ -172,7 +192,7 @@ impl<E: 'static> Simulation<E> {
     where
         F: FnOnce(&mut T) -> R,
     {
-        let _lend = audit::lend(&mut self.ledger);
+        let _lend = run::lend(&mut self.run);
         let slot = self
             .kernel
             .components
@@ -189,21 +209,40 @@ impl<E: 'static> Simulation<E> {
     /// Delivers the next pending event, if any. Returns `false` when the
     /// queue is empty.
     pub fn step(&mut self) -> bool {
-        let _lend = audit::lend(&mut self.ledger);
-        self.kernel.step()
+        self.call(Kernel::step)
     }
 
     /// Runs until the event queue drains or a component requests a stop.
     pub fn run(&mut self) {
-        let _lend = audit::lend(&mut self.ledger);
-        self.kernel.run();
+        self.call(Kernel::run);
     }
 
     /// Runs until simulated time reaches `deadline` (events at exactly
     /// `deadline` are delivered), the queue drains, or a stop is requested.
     pub fn run_until(&mut self, deadline: Time) {
-        let _lend = audit::lend(&mut self.ledger);
-        self.kernel.run_until(deadline);
+        self.call(|k| k.run_until(deadline));
+    }
+
+    /// Runs `f` on the event loop with the run state lent to this thread,
+    /// the hook's trace sampling brought up to date first, and the call's
+    /// deliveries added to the audit count after.
+    fn call<R>(&mut self, f: impl FnOnce(&mut Kernel<E>) -> R) -> R {
+        let _lend = run::lend(&mut self.run);
+        let k = &mut self.kernel;
+        if k.event_hook.is_some() {
+            let (generation, every) = trace::kernel_sampling();
+            if generation != k.hook_generation {
+                k.hook_generation = generation;
+                k.hook_left = 0;
+            }
+            k.hook_every = every;
+        }
+        let before = k.events_processed;
+        let out = f(k);
+        if audit::enabled() {
+            audit::add_deliveries(self.kernel.events_processed - before);
+        }
+        out
     }
 
     /// Runs for `span` of simulated time from the current clock.
@@ -260,7 +299,12 @@ impl<E: 'static> Kernel<E> {
         self.now = ev.time;
         self.events_processed += 1;
         if let Some(hook) = &mut self.event_hook {
-            hook(self.now, ev.dst, &ev.event);
+            if self.hook_left == 0 {
+                self.hook_left = self.hook_every - 1;
+                hook(self.now, ev.dst, &ev.event);
+            } else {
+                self.hook_left -= 1;
+            }
         }
 
         // Temporarily take the component out of its slot so it can freely

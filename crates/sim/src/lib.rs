@@ -58,9 +58,11 @@ pub mod check;
 mod component;
 mod event;
 pub mod fault;
+pub mod hash;
 mod kernel;
 pub mod par;
 pub mod rng;
+mod run;
 pub mod stats;
 pub mod store;
 pub mod sync;

@@ -2,16 +2,14 @@
 //!
 //! Everything a control plane's *statistics table* or an experiment harness
 //! needs: windowed counters for rates, latency samples with percentile
-//! queries, fixed-bin histograms with CDF export (Figure 11), time-series
-//! samplers (Figures 7, 9, 10), and online mean/variance.
+//! queries and CDF export (Figure 11), time-series samplers (Figures 7, 9,
+//! 10), and online mean/variance.
 
-mod histogram;
 mod latency;
 mod online;
 mod timeseries;
 mod window;
 
-pub use histogram::Histogram;
 pub use latency::LatencySample;
 pub use online::OnlineStats;
 pub use timeseries::TimeSeries;

@@ -31,7 +31,8 @@
 //! * `PARD_TRACE_SAMPLE=cat:n,...` — keep only every `n`-th event of a
 //!   category, overriding the defaults (kernel 1024, llc 256, dram 256,
 //!   all others 1). Sampling bounds trace volume on multi-million-event
-//!   figure runs.
+//!   figure runs. Each simulated machine counts its own events (see
+//!   [Sampling](#sampling)).
 //! * `PARD_TRACE_RING=<n>` — in-memory ring capacity in lines
 //!   (default 65536; the ring is bypassed by the binary store, whose file
 //!   is the durable record).
@@ -47,11 +48,30 @@
 //! Programmatic use goes through [`TraceConfig`] and [`install`] /
 //! [`disable`], which the trace-vs-untraced byte-identity test exercises
 //! within a single process.
+//!
+//! # Sampling
+//!
+//! A category sampled 1-in-`n` keeps the first event that passes its
+//! DS-id filter, then every `n`-th after it. The countdowns belong to the
+//! simulated machine, not to the process: they are part of the run state
+//! a [`Simulation`](crate::Simulation) lends to the thread that runs it
+//! (`crate::run`), so the kept subset depends only on that machine's own
+//! event order — also when fleet machines move between worker threads.
+//! Events emitted outside any machine (the fleet manager's, a harness's)
+//! count on the emitting thread's own countdowns. Every [`install`] and
+//! [`disable`] restarts all countdowns.
+//!
+//! Sampled-out events cost a counter decrement: [`emit`] decides before
+//! it takes the tracer's lock, and the kernel counts its own category
+//! down, calling its event hook only for kept deliveries. A category with
+//! a DS-id filter is the exception: its filter is applied first, under
+//! the lock, and only the events that pass it are counted.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::store::{self, StoreConfig, ValRef};
@@ -251,13 +271,25 @@ struct TraceState {
     sink: Sink,
     /// Per-category DS-id allow-lists; `None` admits every DS-id.
     ds_filter: [Option<Vec<u16>>; CATS],
-    sample_div: [u32; CATS],
-    sample_ctr: [u32; CATS],
     emitted: u64,
 }
 
-/// Bit i set = category i enabled. The one and only hot-path cost.
-static MASK: AtomicU32 = AtomicU32::new(0);
+/// The tracer's configuration word, read by every hot-path check with one
+/// relaxed load: bit `i` set = category `i` enabled; bit
+/// `FILTERED_SHIFT + i` set = category `i` has a DS-id filter; the bits
+/// from `GEN_SHIFT` up count [`install`] / [`disable`] calls, so sample
+/// countdowns can tell that the tracer they counted for is gone.
+static MASK: AtomicU64 = AtomicU64::new(0);
+const FILTERED_SHIFT: u32 = CATS as u32;
+const GEN_SHIFT: u32 = 32;
+/// The 1-in-N divisor [`emit`] applies per category. The kernel category's
+/// entry is 1 while the kernel samples that category itself (see
+/// [`kernel_sampling`]).
+static EMIT_DIV: [AtomicU32; CATS] = [const { AtomicU32::new(1) }; CATS];
+/// The 1-in-N divisor the kernel applies to its event hook: the kernel
+/// category's divisor while that category is traced without a DS-id
+/// filter, 1 otherwise.
+static KERNEL_DIV: AtomicU32 = AtomicU32::new(1);
 static STATE: Mutex<Option<TraceState>> = Mutex::new(None);
 
 /// True when `cat` is being traced. This is the hot-path guard: a single
@@ -265,7 +297,95 @@ static STATE: Mutex<Option<TraceState>> = Mutex::new(None);
 /// when tracing is off.
 #[inline]
 pub fn enabled(cat: TraceCat) -> bool {
-    MASK.load(Ordering::Relaxed) & cat.bit() != 0
+    MASK.load(Ordering::Relaxed) & u64::from(cat.bit()) != 0
+}
+
+/// True when any category is being traced.
+#[inline]
+pub(crate) fn on() -> bool {
+    MASK.load(Ordering::Relaxed) & u64::from(u32::MAX >> (32 - CATS)) != 0
+}
+
+/// One machine's per-category sample countdowns: how many more events of
+/// each category to skip before the next kept one, and the tracer
+/// generation they count for. Part of the lent run state (`crate::run`).
+#[derive(Default)]
+pub(crate) struct Sampler {
+    generation: u32,
+    left: [u32; CATS],
+}
+
+/// The countdowns the calling thread samples with: the lent machine's, or
+/// the thread's own.
+struct ActiveSampler {
+    generation: Cell<u32>,
+    left: [Cell<u32>; CATS],
+}
+
+thread_local! {
+    static SAMPLER: ActiveSampler = const {
+        ActiveSampler {
+            generation: Cell::new(0),
+            left: [const { Cell::new(0) }; CATS],
+        }
+    };
+}
+
+/// Swaps `sampler` with the calling thread's active countdowns.
+pub(crate) fn swap_active(sampler: &mut Sampler) {
+    SAMPLER.with(|a| {
+        sampler.generation = a.generation.replace(sampler.generation);
+        for (mine, active) in sampler.left.iter_mut().zip(&a.left) {
+            *mine = active.replace(*mine);
+        }
+    });
+}
+
+/// Counts one event of `cat` (already past its DS-id filter) on the
+/// active countdowns and says whether it is kept. `word` is the [`MASK`]
+/// value the caller loaded.
+#[inline]
+fn keep(cat: TraceCat, word: u64) -> bool {
+    let div = EMIT_DIV[cat as usize].load(Ordering::Relaxed);
+    if div == 1 {
+        return true;
+    }
+    let generation = (word >> GEN_SHIFT) as u32;
+    SAMPLER.with(|a| {
+        if a.generation.get() != generation {
+            a.generation.set(generation);
+            a.left.iter().for_each(|c| c.set(0));
+        }
+        let left = &a.left[cat as usize];
+        match left.get() {
+            0 => {
+                left.set(div - 1);
+                true
+            }
+            n => {
+                left.set(n - 1);
+                false
+            }
+        }
+    })
+}
+
+/// How the kernel samples the deliveries it shows its event hook:
+/// `(generation, every)` — one delivery in `every` is shown, counting
+/// from the first after the tracer generation changes. `every` is 1
+/// unless the kernel category is traced without a DS-id filter.
+pub(crate) fn kernel_sampling() -> (u32, u32) {
+    let generation = (MASK.load(Ordering::Relaxed) >> GEN_SHIFT) as u32;
+    (generation, KERNEL_DIV.load(Ordering::Relaxed))
+}
+
+/// Publishes a new configuration word with a bumped generation. Called
+/// with the [`STATE`] lock held, after the divisors are stored.
+fn publish(enabled: u32, filtered: u32) {
+    let generation = (MASK.load(Ordering::Relaxed) >> GEN_SHIFT) + 1;
+    let word =
+        u64::from(enabled) | (u64::from(filtered) << FILTERED_SHIFT) | (generation << GEN_SHIFT);
+    MASK.store(word, Ordering::Release);
 }
 
 /// Installs the global tracer from `config`. Replaces any previous tracer
@@ -296,6 +416,7 @@ pub fn install(config: TraceConfig) -> std::io::Result<()> {
     };
 
     let mut mask = 0u32;
+    let mut filtered = 0u32;
     let mut ds_filter: [Option<Vec<u16>>; CATS] = Default::default();
     if config.filter.is_empty() {
         mask = TraceCat::ALL.iter().map(|c| c.bit()).sum();
@@ -303,6 +424,7 @@ pub fn install(config: TraceConfig) -> std::io::Result<()> {
         for &(cat, ds) in &config.filter {
             mask |= cat.bit();
             if let Some(ds) = ds {
+                filtered |= cat.bit();
                 ds_filter[cat as usize].get_or_insert_with(Vec::new).push(ds);
             }
         }
@@ -318,13 +440,20 @@ pub fn install(config: TraceConfig) -> std::io::Result<()> {
         sample_div[cat as usize] = div;
     }
 
+    // The kernel samples its own category unless a DS-id filter must
+    // run first, which only the system model's hook can apply.
+    let kernel = TraceCat::Kernel.bit();
+    let kernel_div = if mask & kernel != 0 && filtered & kernel == 0 {
+        std::mem::replace(&mut sample_div[TraceCat::Kernel as usize], 1)
+    } else {
+        1
+    };
+
     let state = TraceState {
         ring: VecDeque::new(),
         ring_capacity: config.ring_capacity,
         sink,
         ds_filter,
-        sample_div,
-        sample_ctr: [0; CATS],
         emitted: 0,
     };
 
@@ -333,9 +462,13 @@ pub fn install(config: TraceConfig) -> std::io::Result<()> {
         old.sink.finish();
     }
     *guard = Some(state);
+    for (slot, div) in EMIT_DIV.iter().zip(sample_div) {
+        slot.store(div, Ordering::Relaxed);
+    }
+    KERNEL_DIV.store(kernel_div, Ordering::Relaxed);
     // Publish the mask only after the state is in place so a racing emit
     // never observes enabled-but-uninstalled.
-    MASK.store(mask, Ordering::Release);
+    publish(mask, filtered);
     Ok(())
 }
 
@@ -492,8 +625,9 @@ pub fn init_from_env() {
 /// syncs it to disk) and tears the tracer down, returning the process to
 /// the zero-cost disabled state.
 pub fn disable() {
-    MASK.store(0, Ordering::Release);
     let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
+    publish(0, 0);
+    KERNEL_DIV.store(1, Ordering::Relaxed);
     if let Some(state) = guard.as_mut() {
         state.sink.finish();
     }
@@ -514,28 +648,48 @@ pub fn flush() {
 ///
 /// Callers should guard the call (and any field gathering) behind
 /// [`enabled`]; `emit` re-checks, applies the DS-id filter and the
-/// per-category sampling divisor, then hands the kept event to the sink:
-/// rendered as a JSONL line for the ring/JSONL sinks, appended in binary
-/// form (no render) for a `.ptr` store.
+/// per-category sampling divisor (see [Sampling](#sampling)), then hands
+/// the kept event to the sink: rendered as a JSONL line for the ring/JSONL
+/// sinks, appended in binary form (no render) for a `.ptr` store. A
+/// sampled-out event of a category without a DS-id filter returns before
+/// the tracer's lock.
+#[inline]
 pub fn emit(cat: TraceCat, time: Time, ds: u16, event: &str, fields: &[(&str, TraceVal)]) {
-    if !enabled(cat) {
+    let word = MASK.load(Ordering::Relaxed);
+    let bit = u64::from(cat.bit());
+    if word & bit == 0 {
         return;
     }
+    if word & (bit << FILTERED_SHIFT) != 0 {
+        write(cat, time, ds, event, fields, Some(word));
+    } else if keep(cat, word) {
+        write(cat, time, ds, event, fields, None);
+    }
+}
+
+/// Hands one event to the sink. With `filter_word` set the category has a
+/// DS-id filter, applied here under the lock before the event is counted
+/// for sampling.
+#[inline(never)]
+fn write(
+    cat: TraceCat,
+    time: Time,
+    ds: u16,
+    event: &str,
+    fields: &[(&str, TraceVal)],
+    filter_word: Option<u64>,
+) {
     let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
     let Some(state) = guard.as_mut() else {
         return;
     };
-    let ci = cat as usize;
-    if let Some(allow) = &state.ds_filter[ci] {
-        if !allow.contains(&ds) {
-            return;
+    if let Some(word) = filter_word {
+        if let Some(allow) = &state.ds_filter[cat as usize] {
+            if !allow.contains(&ds) {
+                return;
+            }
         }
-    }
-    let div = state.sample_div[ci];
-    if div > 1 {
-        let c = state.sample_ctr[ci];
-        state.sample_ctr[ci] = (c + 1) % div;
-        if c != 0 {
+        if !keep(cat, word) {
             return;
         }
     }
@@ -671,6 +825,7 @@ pub fn lines_emitted() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{lend, RunState};
 
     // The tracer is process-global, so every test that installs it runs
     // inside this single test function to avoid cross-test interference.
@@ -733,6 +888,51 @@ mod tests {
             emit(TraceCat::Dram, Time::from_ns(i), 0, "issue", &[]);
         }
         assert_eq!(lines_emitted(), 3);
+
+        // Each machine counts its own events: two run states lent in turn
+        // keep what each would keep alone (events 1-4: the 1st and 4th;
+        // events 5-8: the 7th).
+        fn kept_of_four(state: &mut RunState) -> u64 {
+            let _lend = lend(state);
+            let before = lines_emitted();
+            for i in 0..4u64 {
+                emit(TraceCat::Dram, Time::from_ns(i), 0, "issue", &[]);
+            }
+            lines_emitted() - before
+        }
+        let (mut a, mut b) = (RunState::default(), RunState::default());
+        assert_eq!([kept_of_four(&mut a), kept_of_four(&mut b)], [2, 2]);
+        assert_eq!([kept_of_four(&mut a), kept_of_four(&mut b)], [1, 1]);
+        assert_eq!(kernel_sampling().1, 1, "kernel category off");
+
+        // A DS-id filter runs before sampling: of the DS-2 events (the
+        // 1st, 3rd, 5th and 6th emitted), divisor 2 keeps the 1st and 3rd.
+        // A filtered kernel category is sampled here too, not by the
+        // kernel. (The kernel's own countdown, for an unfiltered kernel
+        // category, is covered by the bench crate's run-state tests: any
+        // config here that sets it would race the kernel unit tests'
+        // event hooks.)
+        install(TraceConfig {
+            path: None,
+            filter: vec![(TraceCat::Dram, Some(2)), (TraceCat::Kernel, Some(0))],
+            sample: vec![(TraceCat::Dram, 2), (TraceCat::Kernel, 2)],
+            ring_capacity: 16,
+            ..TraceConfig::default()
+        })
+        .unwrap();
+        assert_eq!(kernel_sampling().1, 1, "a DS filter moves sampling to emit");
+        for (i, ds) in [2u16, 1, 2, 1, 2, 2].into_iter().enumerate() {
+            emit(TraceCat::Dram, Time::from_ns(i as u64), ds, "issue", &[]);
+        }
+        let times: Vec<String> = recent_lines()
+            .iter()
+            .map(|l| l.split(',').next().unwrap().to_string())
+            .collect();
+        assert_eq!(times, ["{\"time\":0", "{\"time\":4"]);
+        for ds in [0, 1, 0, 0] {
+            emit(TraceCat::Kernel, Time::from_ns(9), ds, "tick", &[]);
+        }
+        assert_eq!(lines_emitted(), 4, "DS-0 kernel events 1 and 3 kept");
 
         // Ring capacity bounds memory.
         install(TraceConfig {
