@@ -31,12 +31,13 @@ PARD_THREADS=2 cargo test -q --offline -p pard-bench --test determinism --test f
 
 echo "== event-queue / kernel events-per-sec smoke =="
 # Must run to completion, write BENCH_kernel.json (kernel perf record),
-# and pass the perf gate: dense-regime ladder speedups >= 1.0x, a
-# recorded stats_record_mops, and — via PARD_BENCH_BASELINE — the fresh
-# kernel-through-MemCtrl rate within 5% of the committed record, so the
-# policy layer on the serve path cannot silently tax the kernel
-# (--check exits non-zero otherwise). The committed record is snapshotted
-# aside first because the bench rewrites BENCH_kernel.json in place.
+# and pass the perf gate: dense-regime speedups of the packed-key event
+# heap over a plain binary heap >= 1.0x, a recorded stats_record_mops,
+# and — via PARD_BENCH_BASELINE — the fresh kernel-through-MemCtrl rate
+# within 5% of the committed record, so the policy layer on the serve
+# path cannot silently tax the kernel (--check exits non-zero
+# otherwise). The committed record is snapshotted aside first because
+# the bench rewrites BENCH_kernel.json in place.
 baseline="$(mktemp)"
 if [ -s BENCH_kernel.json ]; then
     cp BENCH_kernel.json "$baseline"
@@ -89,6 +90,23 @@ scratch="$(mktemp -d)"
 )
 rm -rf "$scratch"
 echo "ok: audited fig07 passes pard-trace --check and pard-audit --check/--replay (both sinks)"
+
+echo "== results/ text goldens: fast harnesses reproduce their committed tables =="
+# results/*.txt are the harnesses' printed tables (results/README.md).
+# The deterministic ones that run in well under a second are regenerated
+# here and compared byte for byte, so a model or formatting change can
+# never leave a committed table stale. Run in a scratch cwd: fig11 and
+# fig12 also write their JSON next to them.
+scratch="$(mktemp -d)"
+(
+    cd "$scratch"
+    for b in table2 table3 fig11 fig12; do
+        "$repo/target/release/$b" > "$b.txt"
+        cmp "$b.txt" "$repo/results/$b.txt"
+    done
+)
+rm -rf "$scratch"
+echo "ok: table2/table3/fig11/fig12 reproduce results/*.txt byte-identically"
 
 echo "== fig08 golden: default-scale run is byte-identical to the committed JSON =="
 # Fig. 8 is the figure whose golden went stale once (a truncating

@@ -2,11 +2,12 @@
 //!
 //! The kernel's hot loop is one `EventQueue::push` + `pop` per simulated
 //! hop, so queue throughput bounds every figure binary. This bench
-//! compares the ladder queue (`pard_sim::EventQueue`) against the
-//! original single-`BinaryHeap` layout on the event-horizon patterns the
-//! experiments actually generate, times representative figure workloads
-//! end to end, and records everything in `BENCH_kernel.json` so the
-//! kernel's perf trajectory is tracked from PR to PR.
+//! compares the packed-key four-ary heap (`pard_sim::EventQueue`) against
+//! a plain `std` `BinaryHeap` of whole events on the event-horizon
+//! patterns the experiments actually generate, times representative
+//! figure workloads end to end, and records everything in
+//! `BENCH_kernel.json` so the kernel's perf trajectory is tracked from
+//! change to change.
 //!
 //! ```sh
 //! cargo bench -p pard-bench --bench event_queue            # full
@@ -27,9 +28,9 @@ use pard_sim::rng::{stream_rng, Rng};
 use pard_sim::trace::{self, TraceCat, TraceConfig, TraceVal};
 use pard_sim::{ComponentId, EventQueue, ScheduledEvent, Simulation, Time};
 
-/// The pre-ladder queue: one binary heap over the whole pending set,
-/// using `ScheduledEvent`'s reversed `Ord`. Kept here as the measured
-/// baseline.
+/// The reference queue: one `std` binary heap of whole events, using
+/// `ScheduledEvent`'s reversed `Ord` — the kernel's original layout.
+/// Kept here as the measured baseline.
 struct BaselineQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
@@ -91,7 +92,7 @@ macro_rules! churn {
 
 struct PatternResult {
     name: &'static str,
-    ladder_ops_per_sec: f64,
+    queue_ops_per_sec: f64,
     baseline_ops_per_sec: f64,
 }
 
@@ -110,11 +111,11 @@ fn run_patterns(steps: u64) -> Vec<PatternResult> {
         };
         let deltas: Vec<u64> = (0..8192).map(|_| rng.gen_range(1..256u64)).collect();
         let short = |i: u64| deltas[(i % 8192) as usize];
-        let ladder = churn!(EventQueue::new, k, steps, short);
+        let queue = churn!(EventQueue::new, k, steps, short);
         let baseline = churn!(BaselineQueue::new, k, steps, short);
         results.push(PatternResult {
             name,
-            ladder_ops_per_sec: ladder,
+            queue_ops_per_sec: queue,
             baseline_ops_per_sec: baseline,
         });
     }
@@ -129,11 +130,11 @@ fn run_patterns(steps: u64) -> Vec<PatternResult> {
         })
         .collect();
     let mixed = |i: u64| deltas[(i % 8192) as usize];
-    let ladder = churn!(EventQueue::new, 256usize, steps, mixed);
+    let queue = churn!(EventQueue::new, 256usize, steps, mixed);
     let baseline = churn!(BaselineQueue::new, 256usize, steps, mixed);
     results.push(PatternResult {
         name: "mixed_horizon_hold256",
-        ladder_ops_per_sec: ladder,
+        queue_ops_per_sec: queue,
         baseline_ops_per_sec: baseline,
     });
 
@@ -264,17 +265,19 @@ fn main() {
     let patterns = run_patterns(steps);
     let mut json_patterns = JsonValue::object();
     for p in &patterns {
-        let ratio = p.ladder_ops_per_sec / p.baseline_ops_per_sec;
+        let ratio = p.queue_ops_per_sec / p.baseline_ops_per_sec;
         println!(
-            "{:<24} ladder {:>7.1} M ops/s   binary-heap {:>7.1} M ops/s   ({ratio:.2}x)",
+            "{:<24} event-queue {:>7.1} M ops/s   binary-heap {:>7.1} M ops/s   ({ratio:.2}x)",
             p.name,
-            p.ladder_ops_per_sec / 1e6,
+            p.queue_ops_per_sec / 1e6,
             p.baseline_ops_per_sec / 1e6,
         );
+        // `ladder_mops` names the event queue's rate under the field name
+        // of the earliest records, so the perf trajectory stays one series.
         json_patterns = json_patterns.field(
             p.name,
             JsonValue::object()
-                .field("ladder_mops", p.ladder_ops_per_sec / 1e6)
+                .field("ladder_mops", p.queue_ops_per_sec / 1e6)
                 .field("binary_heap_mops", p.baseline_ops_per_sec / 1e6)
                 .field("speedup", ratio),
         );
@@ -342,7 +345,7 @@ fn main() {
     );
 
     if check {
-        // CI perf gate: the adaptive ladder must not regress behind the
+        // CI perf gate: the event queue must not regress behind the
         // plain binary heap in the dense regimes (the backlog sizes the
         // figure workloads actually sustain), and the stats record path
         // must have produced a sane measurement.
@@ -351,9 +354,12 @@ fn main() {
             if !matches!(p.name, "short_delay_hold256" | "short_delay_hold4096") {
                 continue;
             }
-            let ratio = p.ladder_ops_per_sec / p.baseline_ops_per_sec;
+            let ratio = p.queue_ops_per_sec / p.baseline_ops_per_sec;
             if ratio < 1.0 {
-                eprintln!("CHECK FAILED: {} ladder/binary-heap = {ratio:.2}x < 1.0", p.name);
+                eprintln!(
+                    "CHECK FAILED: {} event-queue/binary-heap = {ratio:.2}x < 1.0",
+                    p.name
+                );
                 failed = true;
             }
         }

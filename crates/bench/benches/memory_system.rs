@@ -90,9 +90,9 @@ fn bench_controller_throughput(c: &mut Criterion) {
 
 /// Raw kernel hop cost: self-ticking components exercising one
 /// `EventQueue` push + pop per delivered event through `Ctx::send` — the
-/// inner loop every model shares. `dense` keeps every tick inside the
-/// event queue's active bucket (cache/DRAM-hop delays); `mixed` spreads
-/// ticks across the near ring and the overflow tier (timers, windows).
+/// inner loop every model shares. `dense` keeps every tick a few
+/// cache/DRAM hops ahead of the clock; `mixed` adds far-future ticks
+/// (timers, windows) to the pending set.
 fn bench_kernel_event_churn(c: &mut Criterion) {
     struct Ticker {
         delays: [u64; 4],

@@ -568,35 +568,37 @@ impl MemCtrl {
         // front rank bucket (lower ranks fully shadow higher ones), plus
         // the write buffer when it could drain.
         let floor = (now + MEM_CYCLE).align_up(MEM_CYCLE);
-        let mut earliest = Time::MAX;
-        let mut consider = |p: &Pending| {
-            let b = &self.banks[p.loc.bank as usize];
-            let t = if b.busy_until <= now {
+        // When `p`'s bank is next ready to take a command.
+        let ready = |p: &Pending| {
+            let busy_until = self.banks[p.loc.bank as usize].busy_until;
+            if busy_until <= now {
                 floor
             } else {
-                b.busy_until.align_up(MEM_CYCLE)
-            };
-            earliest = earliest.min(t);
+                busy_until.align_up(MEM_CYCLE)
+            }
         };
         const WINDOW: usize = 16;
+        let mut earliest = Time::MAX;
         if !self.queue.is_empty() {
             let window = if self.cfg.priorities_enabled {
                 WINDOW
             } else {
                 self.cfg.baseline_window
             };
-            self.queue.front_iter().take(window).for_each(&mut consider);
+            earliest = self
+                .queue
+                .front_iter()
+                .take(window)
+                .map(ready)
+                .fold(earliest, Time::min);
         }
         if earliest == Time::MAX || self.wb_q.len() > 64 {
-            for p in self.wb_q.iter().take(WINDOW) {
-                let b = &self.banks[p.loc.bank as usize];
-                let t = if b.busy_until <= now {
-                    floor
-                } else {
-                    b.busy_until.align_up(MEM_CYCLE)
-                };
-                earliest = earliest.min(t);
-            }
+            earliest = self
+                .wb_q
+                .iter()
+                .take(WINDOW)
+                .map(ready)
+                .fold(earliest, Time::min);
         }
         earliest.max(floor)
     }

@@ -3,32 +3,31 @@
 //! [`EventQueue`] is the hot path of every simulation: the packet-level
 //! inner loop does one push and one pop per hop, so scheduler cost
 //! dominates wall-clock exactly as it does in ns-3-class network
-//! simulators. Instead of a single `BinaryHeap` over the whole pending
-//! set, the queue is a two-tier ladder/calendar structure:
+//! simulators. The queue is one four-ary min-heap of packed `u128` keys,
 //!
-//! * a **near-future tier** — a ring of time buckets covering the near
-//!   future, where the dense short-delay traffic (cache/DRAM hops a few
-//!   ns apart) lands in O(1), with only the currently-active bucket kept
-//!   as a (tiny) heap;
-//! * an **overflow tier** — a four-ary min-heap for events beyond the
-//!   ring's window (statistics windows, poll timers, request gaps).
+//! ```text
+//! key = time << 64 | seq << 24 | slot
+//! ```
 //!
-//! The bucket width is **adaptive**: each queue keeps an exponential
-//! moving average of how far ahead of the window pushes land and, at
-//! bucket-drain boundaries, narrows or widens the buckets so the active
-//! bucket stays a handful of events. Dense traffic (thousands of events
-//! spread over a few hundred time units) would otherwise pile the whole
-//! backlog into one wide active bucket and degenerate to a single heap —
-//! the regime where the fixed-width ladder lost to `BinaryHeap`. Pushes
-//! into the overflow tier are deferred into an unsorted tail and
-//! bulk-heapified on the next read, so far-future timers cost O(1) at
-//! push time.
+//! where `seq` is the monotonic insertion number and `slot` indexes a
+//! payload slab holding each pending event's `(ComponentId, E)`. Sifts
+//! move 16-byte keys instead of whole events, and one integer compare
+//! orders two events: `seq` is unique and sits above `slot`, so key order
+//! is exactly `(time, seq)` order. Popped slots go on a free list and are
+//! reused by the next push, so the slab never grows past the peak number
+//! of pending events and steady-state operation allocates nothing.
 //!
-//! Events migrate from the overflow tier into the ring as simulated time
-//! advances, so each event pays at most one small-heap push/pop plus O(1)
-//! bucket moves instead of an O(log n) traversal of the full set. The
-//! external contract is unchanged: pops come in exact `(time, seq)`
-//! order, where `seq` is the monotonic insertion number.
+//! A pop leaves the root vacant and the next push sifts its key down from
+//! there. A delivered event usually schedules the next one a few
+//! nanoseconds later, so that key settles within a level or two, and the
+//! pop-then-push pair costs one short sift instead of a full sift-down of
+//! the last leaf plus a sift-up of the new key.
+//!
+//! The simulator's pending set is small (a handful to a few thousand
+//! events) and most pushes land a few nanoseconds ahead of the clock,
+//! so a flat heap over compact keys beats bucketed calendar/ladder
+//! layouts here: their bucket bookkeeping costs more than the two or
+//! three heap levels it saves.
 
 use std::cmp::Ordering;
 
@@ -75,219 +74,19 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// Log2 of the widest bucket in quarter-nanosecond units: 64 units =
-/// 16 ns per bucket, a few cache/DRAM hops. The adaptive width starts
-/// here and narrows (down to one unit) when observed inter-event deltas
-/// are small.
-const MAX_BUCKET_SHIFT: u32 = 6;
-/// Ring size (power of two). 64 buckets x 16 ns ≈ 1 µs of near future at
-/// the widest setting.
-const NUM_BUCKETS: usize = 64;
-const RING_MASK: usize = NUM_BUCKETS - 1;
-/// EMA seed for the push-distance average; chosen so a fresh queue
-/// starts at `MAX_BUCKET_SHIFT` and only narrows on evidence.
-const EMA_INIT: u64 = 32 << MAX_BUCKET_SHIFT;
-/// Pushes farther ahead than this are timers (statistics windows, poll
-/// intervals), not data-path traffic; they bypass the EMA so one
-/// far-future event can't widen the buckets under dense load.
-const EMA_DIST_CAP: u64 = (NUM_BUCKETS as u64 * 4) << MAX_BUCKET_SHIFT;
-
-/// A four-ary min-heap over `(time, seq)`, used for both the active
-/// bucket and the overflow tier.
-///
-/// A wider fan-out halves the tree depth relative to a binary heap and
-/// keeps the children of a node in one cache line. The backing vector is
-/// never shrunk or replaced, so steady-state operation performs no
-/// allocations.
-#[derive(Debug)]
-struct FourAryHeap<E> {
-    items: Vec<ScheduledEvent<E>>,
-    /// Deferred pushes, unsorted. [`FourAryHeap::absorb`] folds them into
-    /// `items` before the next read, amortising bursts of far-future
-    /// pushes into one bulk heapify instead of a sift each.
-    tail: Vec<ScheduledEvent<E>>,
-}
-
-impl<E> FourAryHeap<E> {
-    fn with_capacity(cap: usize) -> Self {
-        FourAryHeap {
-            items: Vec::with_capacity(cap),
-            tail: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.items.len() + self.tail.len()
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.items.is_empty() && self.tail.is_empty()
-    }
-
-    /// The heap minimum's timestamp. Callers must [`absorb`] any deferred
-    /// tail first (the active-bucket heap never defers).
-    ///
-    /// [`absorb`]: FourAryHeap::absorb
-    #[inline]
-    fn peek_time(&self) -> Option<Time> {
-        debug_assert!(self.tail.is_empty());
-        self.items.first().map(|ev| ev.time)
-    }
-
-    /// Queues `ev` without restoring heap order; O(1).
-    #[inline]
-    fn push_deferred(&mut self, ev: ScheduledEvent<E>) {
-        self.tail.push(ev);
-    }
-
-    /// Folds the deferred tail into the heap: a large tail is appended
-    /// and bulk-heapified (O(n) total, cheaper than n sifts), a small one
-    /// sifted in element by element.
-    fn absorb(&mut self) {
-        if self.tail.is_empty() {
-            return;
-        }
-        if self.tail.len() > self.items.len() / 4 {
-            self.items.append(&mut self.tail);
-            self.heapify();
-        } else {
-            let mut tail = std::mem::take(&mut self.tail);
-            for ev in tail.drain(..) {
-                self.push(ev);
-            }
-            // Keep the buffer so steady-state deferral never allocates.
-            self.tail = tail;
-        }
-    }
-
-    fn heapify(&mut self) {
-        if self.items.len() > 1 {
-            let last_parent = (self.items.len() - 2) / 4;
-            for i in (0..=last_parent).rev() {
-                self.sift_down(i);
-            }
-        }
-    }
-
-    #[inline]
-    fn earlier(a: &ScheduledEvent<E>, b: &ScheduledEvent<E>) -> bool {
-        (a.time, a.seq) < (b.time, b.seq)
-    }
-
-    /// Both sift loops use the classic "hole" technique (as
-    /// `std::collections::BinaryHeap` does): the moving element is read
-    /// out once, ancestors/descendants are shifted into the hole, and the
-    /// element is written back at its final position — one move per level
-    /// instead of a three-move swap.
-    ///
-    /// SAFETY: within the `unsafe` blocks only `(time, seq)` fields are
-    /// compared — plain `Ord` on `Copy` integers, no user code and no
-    /// unwind path — so the temporarily-duplicated slot can never be
-    /// observed or double-dropped. All indices are bounded by
-    /// `items.len()`, which does not change during a sift.
-    fn push(&mut self, ev: ScheduledEvent<E>) {
-        self.items.push(ev);
-        let mut i = self.items.len() - 1;
-        unsafe {
-            let ptr = self.items.as_mut_ptr();
-            let tmp = std::ptr::read(ptr.add(i));
-            while i > 0 {
-                let parent = (i - 1) / 4;
-                if Self::earlier(&tmp, &*ptr.add(parent)) {
-                    std::ptr::copy_nonoverlapping(ptr.add(parent), ptr.add(i), 1);
-                    i = parent;
-                } else {
-                    break;
-                }
-            }
-            std::ptr::write(ptr.add(i), tmp);
-        }
-    }
-
-    /// Sifts `tmp` down from the vacated slot `i`, writing it at its
-    /// final position.
-    ///
-    /// SAFETY: the caller must already have moved the element out of
-    /// slot `i` — the slot is a hole that `tmp` logically fills.
-    unsafe fn sift_hole(&mut self, mut i: usize, tmp: ScheduledEvent<E>) {
-        let len = self.items.len();
-        let ptr = self.items.as_mut_ptr();
-        loop {
-            let first_child = 4 * i + 1;
-            if first_child >= len {
-                break;
-            }
-            let mut best = first_child;
-            let end = (first_child + 4).min(len);
-            for c in first_child + 1..end {
-                if Self::earlier(&*ptr.add(c), &*ptr.add(best)) {
-                    best = c;
-                }
-            }
-            if Self::earlier(&*ptr.add(best), &tmp) {
-                std::ptr::copy_nonoverlapping(ptr.add(best), ptr.add(i), 1);
-                i = best;
-            } else {
-                break;
-            }
-        }
-        std::ptr::write(ptr.add(i), tmp);
-    }
-
-    fn sift_down(&mut self, i: usize) {
-        if i >= self.items.len() {
-            return;
-        }
-        // SAFETY: `tmp` is read out of slot `i`, making it exactly the
-        // hole `sift_hole` requires.
-        unsafe {
-            let tmp = std::ptr::read(self.items.as_mut_ptr().add(i));
-            self.sift_hole(i, tmp);
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        debug_assert!(self.tail.is_empty());
-        if self.items.is_empty() {
-            return None;
-        }
-        // SAFETY: the root is read out and returned; the tail element is
-        // read out and the length shrunk before the tail is sifted into
-        // the root hole, so every live slot holds exactly one element
-        // and nothing is dropped twice even on an early return.
-        unsafe {
-            let n = self.items.len() - 1;
-            let ptr = self.items.as_mut_ptr();
-            let ret = std::ptr::read(ptr);
-            self.items.set_len(n);
-            if n > 0 {
-                let tail = std::ptr::read(ptr.add(n));
-                self.sift_hole(0, tail);
-            }
-            Some(ret)
-        }
-    }
-
-    /// Moves `bucket`'s events into this (empty) heap and heapifies in
-    /// place. Both vectors keep their buffers, so the ladder's bucket →
-    /// active-heap transitions are allocation-free.
-    fn refill_from(&mut self, bucket: &mut Vec<ScheduledEvent<E>>) {
-        debug_assert!(self.is_empty());
-        self.items.append(bucket);
-        self.heapify();
-    }
-}
+/// Bits of a key holding the payload slot: at most `2^24` pending events.
+const SLOT_BITS: u32 = 24;
+/// Bits of a key holding `seq`: at most `2^40` pushes per queue.
+const SEQ_BITS: u32 = 64 - SLOT_BITS;
+const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
 /// A deterministic time-ordered event queue.
 ///
 /// Events with equal timestamps are delivered in insertion order, which
 /// (combined with seeded RNGs) makes every simulation run reproducible.
-/// Internally a two-tier ladder (bucket ring + four-ary overflow heap);
-/// the comment at the top of `crates/sim/src/event.rs` describes the
-/// layout.
+/// Internally a four-ary heap of packed `(time, seq, slot)` keys over a
+/// payload slab; the comment at the top of `crates/sim/src/event.rs`
+/// describes the layout.
 ///
 /// # Example
 ///
@@ -301,32 +100,19 @@ impl<E> FourAryHeap<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The active bucket, kept as a heap: every pending event earlier
-    /// than `base + (1 << shift)` lives here, so its minimum is the
-    /// queue's global minimum whenever the queue is non-empty.
-    cur: FourAryHeap<E>,
-    /// `ring[(ring_head + d - 1) & RING_MASK]` holds the span
-    /// `[base + d*W, base + (d+1)*W)` for `d` in `1..=NUM_BUCKETS`,
-    /// where `W = 1 << shift`.
-    ring: Vec<Vec<ScheduledEvent<E>>>,
-    /// Occupancy bitmap: bit `s` is set iff `ring[s]` is non-empty, so
-    /// `refill` can jump over empty buckets in one `trailing_zeros`
-    /// instead of walking them (sparse mid-range traffic — DRAM timing,
-    /// refresh — would otherwise pay up to `NUM_BUCKETS` probes per pop).
-    ring_occ: u64,
-    ring_head: usize,
-    /// Events currently stored in the ring (excluding `cur`).
-    near_len: usize,
-    /// Events at or beyond `base + (NUM_BUCKETS+1)*W`.
-    overflow: FourAryHeap<E>,
-    /// Start of the active bucket's span, a multiple of `1 << shift`.
-    base: u64,
-    /// Log2 of the current bucket width, in `[0, MAX_BUCKET_SHIFT]`.
-    shift: u32,
-    /// EMA of recent push distances (`time - base`, capped at
-    /// [`EMA_DIST_CAP`]); drives the adaptive `shift`.
-    ema: u64,
-    len: usize,
+    /// Four-ary min-heap of packed keys; `heap[0]` is the earliest event
+    /// unless `vacant_root` is set.
+    heap: Vec<u128>,
+    /// `heap[0]` was popped and not yet refilled. The next push sifts its
+    /// key down from the root instead of sifting up from a new leaf, so
+    /// the kernel's usual pop-then-push costs one short sift, not two;
+    /// any other access refills the root from the last leaf first.
+    vacant_root: bool,
+    /// Payload slab, indexed by a key's low [`SLOT_BITS`] bits. `None`
+    /// marks a free slot.
+    slots: Vec<Option<(ComponentId, E)>>,
+    /// Free slot indices, reused last-freed first.
+    free: Vec<u32>,
     next_seq: u64,
 }
 
@@ -336,41 +122,16 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with room for about `cap` pending events
-    /// before the first reallocation of the hot tiers.
+    /// Creates an empty queue with room for `cap` pending events before
+    /// the first reallocation.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            cur: FourAryHeap::with_capacity(cap / 2),
-            ring: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            ring_occ: 0,
-            ring_head: 0,
-            near_len: 0,
-            overflow: FourAryHeap::with_capacity(cap / 2),
-            base: 0,
-            shift: MAX_BUCKET_SHIFT,
-            ema: EMA_INIT,
-            len: 0,
+            heap: Vec::with_capacity(cap),
+            vacant_root: false,
+            slots: Vec::with_capacity(cap),
+            free: Vec::with_capacity(cap),
             next_seq: 0,
         }
-    }
-
-    /// Aligns `units` down to the current bucket width.
-    #[inline]
-    fn align(&self, units: u64) -> u64 {
-        units & !((1u64 << self.shift) - 1)
-    }
-
-    /// The narrowest bucket shift whose ring still covers a pending span
-    /// of `NUM_BUCKETS / 2` events at the observed mean push distance —
-    /// i.e. the smallest `s` with `32 << s >= ema`, capped at
-    /// [`MAX_BUCKET_SHIFT`].
-    #[inline]
-    fn shift_for(ema: u64) -> u32 {
-        let mut s = 0;
-        while s < MAX_BUCKET_SHIFT && (32u64 << s) < ema {
-            s += 1;
-        }
-        s
     }
 
     /// Schedules `event` for `dst` at absolute time `time`.
@@ -378,201 +139,177 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `dst` is [`ComponentId::UNWIRED`] — that means wiring code
-    /// forgot to connect a port.
+    /// forgot to connect a port — or if the queue would exceed its packing
+    /// limits of `2^24` pending events or `2^40` pushes.
+    #[inline]
     pub fn push(&mut self, time: Time, dst: ComponentId, event: E) {
         assert!(
             !dst.is_unwired(),
             "event scheduled for an unwired component port"
         );
         let seq = self.next_seq;
+        assert!(
+            seq >> SEQ_BITS == 0,
+            "event queue exhausted its 2^{SEQ_BITS} sequence numbers"
+        );
         self.next_seq += 1;
-        let ev = ScheduledEvent {
-            time,
-            seq,
-            dst,
-            event,
-        };
-        let tu = time.units();
-        let dist = tu.saturating_sub(self.base);
-        if dist <= EMA_DIST_CAP {
-            self.ema = (self.ema * 7 + dist) >> 3;
-        }
-        if self.len == 0 {
-            // Rebase the ladder on the first event so a queue that idles
-            // and refills never walks the ring to catch up; an empty ring
-            // is also the cheapest point to adopt the adaptive width.
-            self.shift = Self::shift_for(self.ema);
-            self.base = self.align(tu);
-            self.cur.push(ev);
-        } else if tu < self.base.saturating_add(1 << self.shift) {
-            // Active span, or a push earlier than everything pending
-            // (the kernel never does this, but the public API allows it);
-            // either way `cur` keeps the global minimum.
-            self.cur.push(ev);
-        } else {
-            let d = (tu - self.base) >> self.shift;
-            if d <= NUM_BUCKETS as u64 {
-                let slot = (self.ring_head + d as usize - 1) & RING_MASK;
-                self.ring[slot].push(ev);
-                self.ring_occ |= 1 << slot;
-                self.near_len += 1;
-            } else {
-                self.overflow.push_deferred(ev);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some((dst, event));
+                slot as u64
             }
+            None => {
+                let slot = self.slots.len() as u64;
+                assert!(
+                    slot <= SLOT_MASK,
+                    "event queue exceeded 2^{SLOT_BITS} pending events"
+                );
+                self.slots.push(Some((dst, event)));
+                slot
+            }
+        };
+        let key = (time.units() as u128) << 64 | (seq << SLOT_BITS | slot) as u128;
+        if self.vacant_root {
+            self.vacant_root = false;
+            self.sift_down_root(key);
+        } else {
+            self.sift_up(key);
         }
-        self.len += 1;
+    }
+
+    /// Refills a vacant root with the last leaf.
+    #[cold]
+    fn fill_root(&mut self) {
+        self.vacant_root = false;
+        let last = self.heap.pop().expect("a vacant root is in the heap");
+        if !self.heap.is_empty() {
+            self.sift_down_root(last);
+        }
+    }
+
+    /// Appends `key` and sifts it up: ancestors later than `key` shift
+    /// down one level into the hole, and `key` is written once at its
+    /// final position.
+    #[inline]
+    fn sift_up(&mut self, key: u128) {
+        let mut i = self.heap.len();
+        self.heap.push(key);
+        let h = self.heap.as_mut_ptr();
+        // SAFETY: `i` starts at the last index and only moves to parents,
+        // so every access is below `heap.len()`.
+        unsafe {
+            while i > 0 {
+                let parent = (i - 1) / 4;
+                let pk = *h.add(parent);
+                if pk <= key {
+                    break;
+                }
+                *h.add(i) = pk;
+                i = parent;
+            }
+            *h.add(i) = key;
+        }
+    }
+
+    /// Fills the vacant root with `key` and sifts it down. A full set of
+    /// four children is reduced without branches: the lesser of each pair
+    /// by index arithmetic on the comparison result, then the lesser of
+    /// the two winners.
+    #[inline]
+    fn sift_down_root(&mut self, key: u128) {
+        let len = self.heap.len();
+        assert!(len > 0, "sifting into an empty heap");
+        let h = self.heap.as_mut_ptr();
+        let mut i = 0;
+        // SAFETY: the hole `i` starts at the root, which exists (`len > 0`),
+        // and only moves to a child below `len`; children are read only
+        // below `len` (`c + 3 < len` for the four-way case, `j < len` for a
+        // partial last family).
+        unsafe {
+            loop {
+                let c = 4 * i + 1;
+                let best = if c + 3 < len {
+                    let a = c + (*h.add(c + 1) < *h.add(c)) as usize;
+                    let b = c + 2 + (*h.add(c + 3) < *h.add(c + 2)) as usize;
+                    if *h.add(b) < *h.add(a) {
+                        b
+                    } else {
+                        a
+                    }
+                } else if c < len {
+                    let mut best = c;
+                    for j in c + 1..len {
+                        if *h.add(j) < *h.add(best) {
+                            best = j;
+                        }
+                    }
+                    best
+                } else {
+                    break;
+                };
+                let bk = *h.add(best);
+                if key <= bk {
+                    break;
+                }
+                *h.add(i) = bk;
+                i = best;
+            }
+            *h.add(i) = key;
+        }
     }
 
     /// Removes and returns the earliest event, if any.
+    #[inline]
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let ev = self.cur.pop()?;
-        self.len -= 1;
-        if self.cur.is_empty() && self.len > 0 {
-            self.refill();
-        }
-        Some(ev)
+        self.pop_until(Time::MAX)
     }
 
-    /// Re-establishes "`cur` holds the global minimum" after the active
-    /// bucket drained: advance the ladder to the next occupied bucket, or
-    /// jump straight to the overflow tier's minimum.
-    fn refill(&mut self) {
-        debug_assert!(self.cur.is_empty() && self.len > 0);
-        let desired = Self::shift_for(self.ema);
-        if self.near_len > 0 && (desired as i32 - self.shift as i32).abs() >= 2 {
-            // The observed traffic density no longer matches the bucket
-            // width (hysteresis of one step avoids thrash); redistribute
-            // the ring under the new geometry, then bring back any
-            // overflow events the new coverage reaches — a widened ring
-            // may now cover events deferred under the narrow one, and
-            // the jump below must not skip past them.
-            self.rebucket(desired);
-            self.pull_overflow();
-            if !self.cur.is_empty() {
-                return;
-            }
+    /// Removes and returns the earliest event if it is due at or before
+    /// `deadline`; otherwise leaves the queue untouched and returns `None`.
+    #[inline]
+    pub fn pop_until(&mut self, deadline: Time) -> Option<ScheduledEvent<E>> {
+        if self.vacant_root {
+            self.fill_root();
         }
-        if self.near_len > 0 {
-            // Jump the window straight to the next occupied bucket.
-            debug_assert!(self.ring_occ != 0);
-            let rot = self.ring_occ.rotate_right(self.ring_head as u32);
-            let d = rot.trailing_zeros() as usize + 1;
-            let slot = (self.ring_head + d - 1) & RING_MASK;
-            self.base += (d as u64) << self.shift;
-            self.ring_head = (self.ring_head + d) & RING_MASK;
-            let mut bucket = std::mem::take(&mut self.ring[slot]);
-            self.ring_occ &= !(1u64 << slot);
-            self.near_len -= bucket.len();
-            self.cur.refill_from(&mut bucket);
-            // Hand the (drained) buffer back to its slot *before*
-            // pulling from overflow: after the head advance this slot is
-            // the ring's far end, and the pull may land events in it.
-            self.ring[slot] = bucket;
-            // The window slid `d` buckets forward; migrate any overflow
-            // events the ring now covers. They land at offsets
-            // `>= NUM_BUCKETS + 1 - d`, i.e. in the ring, never in `cur`.
-            self.pull_overflow();
-            return;
+        let top = *self.heap.first()?;
+        if (top >> 64) as u64 > deadline.units() {
+            return None;
         }
-        // Everything pending is in the overflow tier: jump the ladder to
-        // its minimum instead of sliding bucket by bucket. The ring is
-        // empty, so adopting the adaptive width here is free.
-        self.overflow.absorb();
-        debug_assert!(self.overflow.len() == self.len);
-        self.shift = desired;
-        let t = self.overflow.peek_time().expect("overflow holds the rest");
-        self.base = self.align(t.units());
-        self.pull_overflow();
-        if self.cur.is_empty() {
-            // Only reachable when the window end saturated at u64::MAX;
-            // fall back to serving straight from the overflow heap (its
-            // pop order is exact, so the contract holds).
-            let ev = self.overflow.pop().expect("overflow non-empty");
-            self.cur.push(ev);
-        }
-    }
-
-    /// Redistributes the ring's events under bucket width `1 << new_shift`.
-    ///
-    /// Only called with `cur` empty. Events may land in `cur` (the new,
-    /// narrower active span), back in the ring, or — when the coverage
-    /// shrank — in the overflow tier. `cur` keeps the global minimum
-    /// afterwards: anything left in the overflow tier was at least
-    /// `(NUM_BUCKETS + 1)` old bucket widths past `base`, which the new
-    /// active span (at most `1 << MAX_BUCKET_SHIFT` wide) cannot reach.
-    fn rebucket(&mut self, new_shift: u32) {
-        debug_assert!(self.cur.is_empty());
-        let mut scratch: Vec<ScheduledEvent<E>> = Vec::with_capacity(self.near_len);
-        let mut occ = self.ring_occ;
-        while occ != 0 {
-            let slot = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            scratch.append(&mut self.ring[slot]);
-        }
-        self.ring_occ = 0;
-        self.ring_head = 0;
-        self.near_len = 0;
-        self.shift = new_shift;
-        // Narrowing keeps `base` aligned (old widths are multiples of
-        // new); widening aligns it down, which only grows the span.
-        self.base = self.align(self.base);
-        for ev in scratch {
-            let tu = ev.time.units();
-            if tu < self.base.saturating_add(1 << new_shift) {
-                self.cur.push(ev);
-            } else {
-                let d = (tu - self.base) >> new_shift;
-                if d <= NUM_BUCKETS as u64 {
-                    let slot = (d as usize - 1) & RING_MASK;
-                    self.ring[slot].push(ev);
-                    self.ring_occ |= 1 << slot;
-                    self.near_len += 1;
-                } else {
-                    self.overflow.push_deferred(ev);
-                }
-            }
-        }
-    }
-
-    /// Moves overflow events that now fall inside the near window into
-    /// the ring (or `cur`, after a jump rebases the ladder onto them).
-    fn pull_overflow(&mut self) {
-        self.overflow.absorb();
-        let end = self
-            .base
-            .saturating_add((NUM_BUCKETS as u64 + 1) << self.shift);
-        while let Some(t) = self.overflow.peek_time() {
-            if t.units() >= end {
-                break;
-            }
-            let ev = self.overflow.pop().expect("peeked event exists");
-            let tu = ev.time.units();
-            debug_assert!(tu >= self.base);
-            if tu < self.base + (1 << self.shift) {
-                self.cur.push(ev);
-            } else {
-                let d = ((tu - self.base) >> self.shift) as usize;
-                let slot = (self.ring_head + d - 1) & RING_MASK;
-                self.ring[slot].push(ev);
-                self.ring_occ |= 1 << slot;
-                self.near_len += 1;
-            }
-        }
+        self.vacant_root = true;
+        let low = top as u64;
+        let slot = (low & SLOT_MASK) as u32;
+        let (dst, event) = self.slots[slot as usize]
+            .take()
+            .expect("a queued key owns its slot");
+        self.free.push(slot);
+        Some(ScheduledEvent {
+            time: Time::from_units((top >> 64) as u64),
+            seq: low >> SLOT_BITS,
+            dst,
+            event,
+        })
     }
 
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
-        self.cur.peek_time()
+        // Under a vacant root the earliest key is the least of its
+        // children.
+        let top = if self.vacant_root {
+            self.heap.iter().skip(1).take(4).min()
+        } else {
+            self.heap.first()
+        };
+        top.map(|&k| Time::from_units((k >> 64) as u64))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len() - self.vacant_root as usize
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 }
 
@@ -630,27 +367,26 @@ mod tests {
 
     #[test]
     fn events_far_beyond_the_ring_come_back_in_order() {
-        // One event per tier: active bucket, mid-ring, far overflow.
+        // Near, mid-range and far-future events pushed out of order.
         let mut q = EventQueue::with_capacity(8);
-        q.push(Time::from_us(500), dst(0), "overflow");
-        q.push(Time::from_ns(1), dst(0), "cur");
-        q.push(Time::from_ns(300), dst(0), "ring");
+        q.push(Time::from_us(500), dst(0), "far");
+        q.push(Time::from_ns(1), dst(0), "near");
+        q.push(Time::from_ns(300), dst(0), "mid");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, vec!["cur", "ring", "overflow"]);
+        assert_eq!(order, vec!["near", "mid", "far"]);
     }
 
     #[test]
     fn equal_time_ties_survive_tier_migration() {
-        // Push a far-future event, drain past it so it migrates through
-        // the overflow tier, and interleave a same-time push: `seq`
-        // order must still decide.
+        // Push a far-future event, drain up to it, and interleave a
+        // same-time push: `seq` order must still decide.
         let far = Time::from_us(300);
         let mut q = EventQueue::new();
-        q.push(far, dst(0), 0u32); // seq 0, starts in overflow
+        q.push(far, dst(0), 0u32); // seq 0
         q.push(Time::from_ns(1), dst(0), 99);
         assert_eq!(q.pop().unwrap().event, 99);
-        // The jump rebased the ladder onto `far`; a fresh push at the
-        // same instant gets a later seq and must pop second.
+        // A fresh push at the same instant gets a later seq and must pop
+        // second.
         q.push(far, dst(0), 1u32); // seq 2
         assert_eq!(q.pop().unwrap().event, 0);
         assert_eq!(q.pop().unwrap().event, 1);
@@ -659,7 +395,7 @@ mod tests {
 
     #[test]
     fn interleaved_push_pop_tracks_reference_order() {
-        // Deterministic mixed workload crossing every tier boundary.
+        // Deterministic mixed workload: dense near traffic plus far timers.
         let mut q = EventQueue::new();
         let mut reference: Vec<(u64, u64)> = Vec::new(); // (time units, seq)
         let mut seq = 0u64;
@@ -691,7 +427,7 @@ mod tests {
 
     /// Hold-`k` churn against a sort oracle: `steps` pop+push rounds with
     /// per-step delays from `delay(i)`, verifying exact `(time, seq)`
-    /// order throughout.
+    /// order throughout. Returns the drained queue.
     fn churn_oracle(k: u64, steps: u64, delay: impl Fn(u64) -> u64) -> EventQueue<u64> {
         let mut q = EventQueue::new();
         let mut reference: Vec<(u64, u64)> = Vec::new();
@@ -723,9 +459,9 @@ mod tests {
 
     #[test]
     fn dense_churn_narrows_the_buckets_and_keeps_order() {
-        // 512 pending events spread over <256 units: the fixed-width
-        // ladder would pile most of them into a couple of wide buckets.
-        // A deterministic LCG supplies deltas in 1..=16.
+        // 512 pending events spread over <256 units, the regime a
+        // bucketed calendar queue handles worst. A deterministic LCG
+        // supplies deltas in 1..=16.
         let mut x = 0x9e3779b97f4a7c15u64;
         let deltas: Vec<u64> = (0..1024)
             .map(|_| {
@@ -733,39 +469,31 @@ mod tests {
                 (x >> 60) + 1
             })
             .collect();
-        let q = churn_oracle(512, 4096, |i| deltas[(i % 1024) as usize]);
-        assert!(
-            q.shift < MAX_BUCKET_SHIFT,
-            "dense traffic should have narrowed the buckets (shift {})",
-            q.shift
-        );
+        churn_oracle(512, 4096, |i| deltas[(i % 1024) as usize]);
     }
 
     #[test]
     fn sparse_after_dense_widens_the_buckets_again() {
-        // Dense phase drags the width down; a sparse phase (deltas ~40x
-        // wider) must widen it back without breaking order.
-        let q = churn_oracle(256, 8192, |i| {
-            if i < 4096 {
-                1 + i % 8
-            } else {
-                300 + i % 200
-            }
-        });
-        assert!(
-            q.shift >= 2,
-            "sparse traffic should have widened the buckets (shift {})",
-            q.shift
+        // A dense phase followed by a sparse phase (deltas ~40x wider)
+        // keeps exact order across the change of density.
+        churn_oracle(
+            256,
+            8192,
+            |i| {
+                if i < 4096 {
+                    1 + i % 8
+                } else {
+                    300 + i % 200
+                }
+            },
         );
     }
 
     #[test]
     fn widening_rebucket_recovers_deferred_overflow_events() {
-        // Regression: under a narrow width, mid-range events are
-        // deferred to the overflow tier; a later widening rebucket must
-        // bring them back before the window jumps past them. Dense
-        // traffic with mid-range timers sprinkled in, then a sparse
-        // phase to force the widening.
+        // Dense traffic with mid-range timers sprinkled in, then a sparse
+        // phase: every timer comes back in order, none skipped. (This
+        // pattern once lost events in a bucketed layout.)
         churn_oracle(256, 12_288, |i| {
             if i < 8192 {
                 if i % 16 == 0 {
@@ -781,8 +509,8 @@ mod tests {
 
     #[test]
     fn deferred_overflow_pushes_pop_in_order() {
-        // A burst of far-future timers lands in the overflow tail
-        // unsorted; draining must absorb and order them exactly.
+        // A burst of far-future timers pushed unsorted must drain in
+        // exact order.
         let mut q = EventQueue::new();
         q.push(Time::from_ns(1), dst(0), 0u64);
         let times = [900u64, 300, 700, 300, 500, 100, 800];
@@ -810,5 +538,98 @@ mod tests {
         q.pop();
         q.pop();
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn equal_time_ties_at_the_top_of_the_clock_pop_in_seq_order() {
+        // Times near u64::MAX fill the key's whole time field: ties there
+        // must still fall back to seq, and an earlier time still wins.
+        let mut q = EventQueue::new();
+        for k in [0u64, 1, 2] {
+            let t = Time::from_units(u64::MAX - k);
+            for i in 0..4u64 {
+                q.push(t, dst(0), (k, i));
+            }
+        }
+        q.push(Time::MAX, dst(0), (0, 4));
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        let expect: Vec<(u64, u64)> = [2u64, 1, 0]
+            .iter()
+            .flat_map(|&k| (0..4).map(move |i| (k, i)))
+            .chain([(0, 4)])
+            .collect();
+        assert_eq!(order, expect);
+    }
+
+    #[test]
+    fn a_vacant_root_is_invisible_to_peek_len_and_pop() {
+        let mut q = EventQueue::new();
+        for t in [40u64, 10, 30, 20, 50, 60] {
+            q.push(Time::from_units(t), dst(0), t);
+        }
+        assert_eq!(q.pop().unwrap().event, 10);
+        // The root is vacant until the next push or pop.
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek_time(), Some(Time::from_units(20)));
+        assert_eq!(q.pop().unwrap().event, 20);
+        // A push fills the vacant root, earlier or later than the rest.
+        q.push(Time::from_units(25), dst(0), 25);
+        assert_eq!(q.pop().unwrap().event, 25);
+        q.push(Time::from_units(99), dst(0), 99);
+        let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(rest, vec![30, 40, 50, 60, 99]);
+        assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn pop_until_leaves_later_events_queued() {
+        let mut q = EventQueue::new();
+        q.push(Time::from_ns(5), dst(0), 5);
+        q.push(Time::from_ns(9), dst(0), 9);
+        assert!(q.pop_until(Time::from_ns(4)).is_none());
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop_until(Time::from_ns(5)).unwrap().event, 5);
+        assert!(q.pop_until(Time::from_ns(8)).is_none());
+        assert_eq!(q.pop_until(Time::MAX).unwrap().event, 9);
+        assert!(q.pop_until(Time::MAX).is_none());
+    }
+
+    /// A payload that counts its own drops.
+    struct Counted(std::rc::Rc<std::cell::Cell<u32>>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    #[test]
+    fn payloads_are_dropped_exactly_once() {
+        let drops = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut q = EventQueue::new();
+        for i in 0..10u64 {
+            q.push(Time::from_units(i * 3 % 7), dst(0), Counted(drops.clone()));
+        }
+        // Popped payloads belong to the receiver, which drops them.
+        for n in 1..=4 {
+            drop(q.pop().unwrap());
+            assert_eq!(drops.get(), n);
+        }
+        // Freed slots are refilled without dropping anything twice.
+        q.push(Time::from_units(1), dst(0), Counted(drops.clone()));
+        assert_eq!(drops.get(), 4);
+        // The queue drops the 7 still pending, once each.
+        drop(q);
+        assert_eq!(drops.get(), 11);
+    }
+
+    #[test]
+    fn hold_k_churn_never_grows_the_slab_past_k() {
+        let q = churn_oracle(64, 10_000, |i| 1 + (i * 37) % 500);
+        assert_eq!(q.slots.len(), 64);
+        assert!(q.slots.iter().all(Option::is_none));
+        assert_eq!(q.free.len(), 64);
     }
 }

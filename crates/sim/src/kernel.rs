@@ -9,7 +9,7 @@
 
 use crate::audit;
 use crate::component::{Component, ComponentId};
-use crate::event::EventQueue;
+use crate::event::{EventQueue, ScheduledEvent};
 use crate::run::{self, RunState};
 use crate::time::Time;
 use crate::trace::{self, TraceVal};
@@ -86,7 +86,7 @@ pub struct Simulation<E> {
 
 /// The event loop proper; [`Simulation`] wraps it with the run-state lend.
 struct Kernel<E> {
-    components: Vec<Option<Box<dyn Component<E>>>>,
+    components: Vec<Box<dyn Component<E>>>,
     queue: EventQueue<E>,
     now: Time,
     stop_requested: bool,
@@ -111,8 +111,8 @@ struct Kernel<E> {
 }
 
 /// Pending-event capacity reserved up front by [`Simulation::new`]: large
-/// enough that the memory-system models never reallocate the queue's hot
-/// tiers mid-run, small enough to be free for unit tests.
+/// enough that the memory-system models never reallocate the queue
+/// mid-run, small enough to be free for unit tests.
 const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
 impl<E: 'static> Simulation<E> {
@@ -157,7 +157,7 @@ impl<E: 'static> Simulation<E> {
     pub fn add_component(&mut self, component: Box<dyn Component<E>>) -> ComponentId {
         let components = &mut self.kernel.components;
         let id = ComponentId::from_raw(components.len() as u32);
-        components.push(Some(component));
+        components.push(component);
         id
     }
 
@@ -197,7 +197,6 @@ impl<E: 'static> Simulation<E> {
             .kernel
             .components
             .get_mut(id.raw() as usize)
-            .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("no component registered with {id:?}"));
         let any = slot.as_any_mut();
         let typed = any
@@ -263,6 +262,14 @@ impl<E: 'static> Kernel<E> {
         let Some(ev) = self.queue.pop() else {
             return false;
         };
+        self.deliver(ev);
+        true
+    }
+
+    /// Delivers one popped event: audit, clock, hook, then the
+    /// destination component's `handle`.
+    #[inline]
+    fn deliver(&mut self, ev: ScheduledEvent<E>) {
         debug_assert!(ev.time >= self.now, "event queue produced a past event");
         if audit::enabled() {
             // Invariant 6: time never runs backwards, and deliveries come
@@ -307,23 +314,20 @@ impl<E: 'static> Kernel<E> {
             }
         }
 
-        // Temporarily take the component out of its slot so it can freely
-        // schedule events to any component (including itself) via Ctx.
-        let idx = ev.dst.raw() as usize;
-        let mut component = self.components[idx]
-            .take()
+        // The component is borrowed in place: `Ctx` borrows only the
+        // queue and the stop flag, disjoint fields of the kernel, so the
+        // component can schedule events to any component (itself too).
+        let component = self
+            .components
+            .get_mut(ev.dst.raw() as usize)
             .unwrap_or_else(|| panic!("event delivered to missing component {:?}", ev.dst));
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: ev.dst,
-                queue: &mut self.queue,
-                stop_requested: &mut self.stop_requested,
-            };
-            component.handle(ev.event, &mut ctx);
-        }
-        self.components[idx] = Some(component);
-        true
+        let mut ctx = Ctx {
+            now: self.now,
+            self_id: ev.dst,
+            queue: &mut self.queue,
+            stop_requested: &mut self.stop_requested,
+        };
+        component.handle(ev.event, &mut ctx);
     }
 
     /// Consumes a pending stop request, clearing the flag.
@@ -350,11 +354,9 @@ impl<E: 'static> Kernel<E> {
             if self.take_stop() {
                 return;
             }
-            match self.queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                _ => {
+            match self.queue.pop_until(deadline) {
+                Some(ev) => self.deliver(ev),
+                None => {
                     // Advance the clock to the deadline even if idle, so that
                     // successive run_until calls observe monotonic time.
                     if self.now < deadline {
@@ -503,6 +505,14 @@ mod tests {
         // The flag must not leak into the next run either.
         sim.run_until(deadline);
         assert_eq!(sim.events_processed(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "event delivered to missing component")]
+    fn event_for_an_unregistered_component_panics() {
+        let (mut sim, _) = build(1);
+        sim.post(ComponentId::from_raw(7), Time::ZERO, Msg::Ping);
+        sim.run();
     }
 
     #[test]

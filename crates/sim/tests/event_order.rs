@@ -1,8 +1,9 @@
-//! Cross-ordering property tests for the ladder [`EventQueue`] and the
-//! kernel built on it: under randomized push/pop interleavings the
-//! queue's pop sequence must match a reference sort by `(time, seq)`
-//! exactly — including equal-time ties whose bucket spans straddle the
-//! queue's internal tier boundaries — and a [`Simulation`] driving
+//! Cross-ordering property tests for the packed-key heap [`EventQueue`]
+//! and the kernel built on it: under randomized push/pop interleavings
+//! the queue's pop sequence must match a reference sort by `(time, seq)`
+//! exactly — including storms of equal-time ties, which only the `seq`
+//! bits of the key can order, and delays from a few units to far-future
+//! timers — and a [`Simulation`] driving
 //! components must deliver the exact schedule of a reference executor,
 //! however its run is sliced into calls.
 
@@ -68,13 +69,13 @@ fn random_interleavings_match_reference_sort() {
         let ops = rng.gen_range(10usize..400);
         for _ in 0..ops {
             if x.reference.is_empty() || rng.gen_bool(0.6) {
-                // Mix delay scales so events land in the active bucket,
-                // across several ring buckets, and in the overflow tier.
+                // Mix delay scales: near-simultaneous hops, cache/DRAM
+                // latencies, mid-range gaps and far-future timers.
                 let delay = match rng.gen_range(0u32..4) {
-                    0 => rng.gen_range(0u64..8),         // same bucket
-                    1 => rng.gen_range(0u64..512),       // nearby buckets
-                    2 => rng.gen_range(0u64..6_000),     // across the ring
-                    _ => rng.gen_range(0u64..500_000),   // overflow tier
+                    0 => rng.gen_range(0u64..8),         // near ties
+                    1 => rng.gen_range(0u64..512),       // memory hops
+                    2 => rng.gen_range(0u64..6_000),     // mid-range
+                    _ => rng.gen_range(0u64..500_000),   // far timers
                 };
                 x.push(now + delay);
             } else {
@@ -90,9 +91,9 @@ fn random_interleavings_match_reference_sort() {
 fn equal_time_ties_across_bucket_boundaries_pop_in_seq_order() {
     cases("event_order.tie_storm", 64, |rng| {
         let mut x = Cross::new();
-        // A handful of distinct timestamps, deliberately clustered near
-        // multiples of the 64-unit bucket width so ties sit exactly on
-        // tier boundaries, each pushed many times interleaved.
+        // A handful of distinct timestamps on a 64-unit grid, each
+        // pushed many times interleaved with pops, so most orderings are
+        // decided by `seq` alone.
         let base = rng.gen_range(0u64..10_000);
         let times: Vec<u64> = (0..rng.gen_range(2usize..6))
             .map(|_| base + rng.gen_range(0u64..40) * 64)
@@ -110,7 +111,7 @@ fn equal_time_ties_across_bucket_boundaries_pop_in_seq_order() {
 
 #[test]
 fn pops_between_refills_preserve_order_after_idle_gaps() {
-    // Drain-to-empty then push far ahead: the queue rebases its ladder;
+    // Drain-to-empty then push far ahead, reusing freed payload slots;
     // ordering must survive arbitrarily many such idle gaps.
     cases("event_order.idle_gaps", 64, |rng| {
         let mut x = Cross::new();
