@@ -16,7 +16,7 @@ use pard_bench::output::{print_series, save_json};
 use pard_bench::duration_scale;
 
 fn main() {
-    let run = run_timeline(duration_scale());
+    let run = run_timeline(duration_scale(), &pard_sim::RunConfig::from_env());
     let (total, stream_start, series, fired_at) =
         (run.total, run.stream_start, run.series, run.fired_at);
 

@@ -15,7 +15,7 @@ use pard_bench::output::{print_series, save_json};
 use pard_bench::duration_scale;
 
 fn main() {
-    let run = run_timeline(duration_scale());
+    let run = run_timeline(duration_scale(), &pard_sim::RunConfig::from_env());
     let (total, echo_at, shares) = (run.total, run.echo_at, run.shares);
 
     println!("Figure 10: Disk I/O performance isolation\n");

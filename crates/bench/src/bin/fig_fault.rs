@@ -16,24 +16,29 @@
 //!
 //! Emits `fig_fault.json` (a committed, CI-gated golden).
 
+use std::sync::Arc;
+
 use pard_bench::fig_fault_scenario::{default_plan, run_pair, summary_json, Timeline};
 use pard_bench::output::save_json;
 use pard_bench::{duration_scale, fault_spec};
+use pard_sim::RunConfig;
 
 fn main() {
     let tl = Timeline::at_scale(duration_scale());
-    let overridden = match fault_spec::init_from_env() {
-        Ok(o) => o,
+    let spec = match fault_spec::plan_from_env() {
+        Ok(plan) => plan,
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);
         }
     };
-    if !overridden {
-        pard_sim::fault::install(default_plan(tl));
-    }
+    let overridden = spec.is_some();
+    let run = RunConfig {
+        faults: Some(Arc::new(spec.unwrap_or_else(|| default_plan(tl)))),
+        ..RunConfig::from_env()
+    };
 
-    let (base, rec) = run_pair(tl);
+    let (base, rec) = run_pair(tl, &run);
     let doc = summary_json(tl, &base, &rec);
 
     println!("Fault injection & trigger-driven recovery\n");

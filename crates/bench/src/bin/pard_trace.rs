@@ -30,7 +30,8 @@ use std::process::ExitCode;
 use pard::{Action, CmpOp, DsId, LDomSpec, PardServer, SystemConfig, Time};
 use pard_bench::json::JsonValue;
 use pard_bench::replay::stream_trace_lines;
-use pard_sim::trace::{self, TraceCat, TraceConfig};
+use pard_sim::trace::{TraceCat, TraceConfig, Tracer};
+use pard_sim::RunConfig;
 use pard_workloads::{CacheFlush, DiskCopy, DiskCopyConfig};
 
 fn main() -> ExitCode {
@@ -199,9 +200,14 @@ fn validate(path: &str, require: &[String], summarise: bool, from: u64) -> ExitC
 /// running DiskCopy (I/O bridge / IDE events), plus a monitoring trigger
 /// on memory bandwidth bound to a no-op action. ~20 ms of simulated time.
 fn run_replay(path: &str) -> std::io::Result<()> {
-    trace::install(TraceConfig::to_file(path))?;
-
-    let mut server = PardServer::new(SystemConfig::small_test());
+    let tracer = std::sync::Arc::new(Tracer::new(TraceConfig::to_file(path))?);
+    let mut server = PardServer::new(SystemConfig {
+        run: RunConfig {
+            tracer: Some(tracer.clone()),
+            ..RunConfig::from_env()
+        },
+        ..SystemConfig::small_test()
+    });
     for (i, name) in ["ldom0", "ldom1"].iter().enumerate() {
         server
             .create_ldom(LDomSpec::new(*name, vec![i], 16 << 20))
@@ -230,6 +236,6 @@ fn run_replay(path: &str) -> std::io::Result<()> {
     server.launch(DsId::new(1)).expect("launch");
     server.run_for(Time::from_ms(20));
     drop(server);
-    trace::disable();
+    tracer.disable();
     Ok(())
 }

@@ -2,10 +2,11 @@
 //!
 //! `pard-sim` owns the fault machinery but is dependency-free, so the JSON
 //! grammar lives here, next to the [`json`](crate::json) parser the
-//! harnesses already use. Experiment binaries call [`init_from_env`] right
+//! harnesses already use. Experiment binaries call [`plan_from_env`] right
 //! after startup: when `PARD_FAULT_PLAN=/path/to/plan.json` is set, the
-//! spec is parsed and installed globally; when unset, nothing happens and
-//! every fault hook stays a single relaxed atomic load.
+//! spec is parsed and handed to the machines the binary builds; when
+//! unset, they run without a plan and every fault hook stays a single
+//! thread-local read.
 //!
 //! # Spec grammar
 //!
@@ -41,7 +42,7 @@ use pard_sim::Time;
 
 use crate::json::JsonValue;
 
-/// Environment variable naming a JSON fault-plan file to install.
+/// Environment variable naming a JSON fault-plan file.
 pub const ENV_FAULT_PLAN: &str = "PARD_FAULT_PLAN";
 
 /// A fault-spec parse failure, with enough context to fix the file.
@@ -173,25 +174,24 @@ fn id_list(ev: &JsonValue, name: &str) -> Result<Option<Vec<u32>>, SpecError> {
     }
 }
 
-/// Parses and installs the plan named by `PARD_FAULT_PLAN`, if set.
-/// Returns whether a plan was installed.
+/// Parses the plan named by `PARD_FAULT_PLAN`, if set, for the caller to
+/// hand to the machines it builds
+/// ([`RunConfig::faults`](pard_sim::RunConfig)).
 ///
 /// # Errors
 ///
 /// Fails when the file cannot be read or does not parse; a binary asked
 /// to inject faults must not silently run fault-free.
-pub fn init_from_env() -> Result<bool, SpecError> {
+pub fn plan_from_env() -> Result<Option<FaultPlan>, SpecError> {
     let Ok(path) = std::env::var(ENV_FAULT_PLAN) else {
-        return Ok(false);
+        return Ok(None);
     };
     if path.is_empty() {
-        return Ok(false);
+        return Ok(None);
     }
     let text =
         std::fs::read_to_string(&path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-    let plan = parse_plan(&text)?;
-    pard_sim::fault::install(plan);
-    Ok(true)
+    parse_plan(&text).map(Some)
 }
 
 #[cfg(test)]

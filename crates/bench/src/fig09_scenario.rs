@@ -13,6 +13,7 @@
 //! `PARD_THREADS` setting.
 
 use pard::{DsId, PardServer, Time};
+use pard_sim::RunConfig;
 
 use crate::{install_llc_trigger, install_llc_trigger_scenario};
 
@@ -30,23 +31,23 @@ pub struct Fig09Run {
 }
 
 /// Runs the default-geometry timeline at the given `--quick`/`--full`
-/// duration scale.
-pub fn run_timeline(scale: f64) -> Fig09Run {
-    run_span(Time::from_ms((160.0 * scale).max(80.0) as u64))
+/// duration scale, observed as `run` says.
+pub fn run_timeline(scale: f64, run: &RunConfig) -> Fig09Run {
+    run_span_with(Time::from_ms((160.0 * scale).max(80.0) as u64), run, |_| {})
 }
 
-/// Runs one timeline over an explicit span (tests shrink it).
-pub fn run_span(total: Time) -> Fig09Run {
-    run_span_with(total, |_| {})
-}
-
-/// As [`run_span`], with a setup hook called on the server before the
-/// timeline starts (the policy equivalence suite installs the
-/// built-in programs explicitly through it).
-pub fn run_span_with(total: Time, setup: impl FnOnce(&mut PardServer)) -> Fig09Run {
+/// Runs one timeline over an explicit span (tests shrink it), with a
+/// setup hook called on the server before the timeline starts (the
+/// policy equivalence suite installs the built-in programs explicitly
+/// through it).
+pub fn run_span_with(
+    total: Time,
+    run: &RunConfig,
+    setup: impl FnOnce(&mut PardServer),
+) -> Fig09Run {
     let sample = Time::from_ms(2);
 
-    let (mut server, mc) = install_llc_trigger_scenario(20_000.0);
+    let (mut server, mc) = install_llc_trigger_scenario(20_000.0, run);
     setup(&mut server);
     // Launch memcached alone first; STREAM joins at a third of the run.
     // The trigger rule is installed once memcached has warmed, as the

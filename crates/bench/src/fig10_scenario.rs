@@ -11,6 +11,7 @@
 //! `fig10.json` is byte-identical at every `PARD_THREADS` setting.
 
 use pard::{DsId, LDomSpec, PardServer, SystemConfig, Time};
+use pard_sim::RunConfig;
 use pard_workloads::{DiskCopy, DiskCopyConfig};
 
 /// One Figure 10 timeline: per-LDom bandwidth-share series plus the
@@ -25,18 +26,18 @@ pub struct Fig10Run {
 }
 
 /// Runs the default-geometry timeline at the given `--quick`/`--full`
-/// duration scale.
-pub fn run_timeline(scale: f64) -> Fig10Run {
+/// duration scale, observed as `run` says.
+pub fn run_timeline(scale: f64, run: &RunConfig) -> Fig10Run {
     // Scaled from the paper's 512 MB per LDom so the default run spans
     // ~800 ms of simulated time like the figure's x-axis.
     let block = (8.0 * scale) as u64 * 1024 * 1024;
-    run_span(block, Time::from_ms(800), Time::from_ms(400))
+    run_span(block, Time::from_ms(800), Time::from_ms(400), run)
 }
 
 /// Runs one timeline with an explicit per-op block size, span, and quota
 /// change time (tests shrink all three).
-pub fn run_span(block: u64, total: Time, echo_at: Time) -> Fig10Run {
-    run_span_with(block, total, echo_at, |_| {})
+pub fn run_span(block: u64, total: Time, echo_at: Time, run: &RunConfig) -> Fig10Run {
+    run_span_with(block, total, echo_at, run, |_| {})
 }
 
 /// As [`run_span`], with a setup hook called on the server before the
@@ -47,11 +48,15 @@ pub fn run_span_with(
     block: u64,
     total: Time,
     echo_at: Time,
+    run: &RunConfig,
     setup: impl FnOnce(&mut PardServer),
 ) -> Fig10Run {
     let sample = Time::from_ms(10);
 
-    let mut server = PardServer::new(SystemConfig::asplos15());
+    let mut server = PardServer::new(SystemConfig {
+        run: run.clone(),
+        ..SystemConfig::asplos15()
+    });
     for (i, name) in ["dd0", "dd1"].iter().enumerate() {
         server
             .create_ldom(LDomSpec::new(*name, vec![i], 1 << 30))

@@ -12,7 +12,7 @@ use pard_dram::{MemCtrl, MemCtrlConfig};
 use pard_icn::{DsId, LAddr, MemKind, MemPacket, PacketId, PardEvent, TickKind};
 use pard_sim::par::par_map;
 use pard_sim::rng::{stream_rng, Rng, Xoshiro256pp};
-use pard_sim::{Component, ComponentId, Ctx, Simulation, Time};
+use pard_sim::{Component, ComponentId, Ctx, RunConfig, Simulation, Time};
 
 /// DS-id carried by the low-priority request class.
 pub const DS_LOW: u16 = 1;
@@ -104,8 +104,13 @@ pub struct RunResult {
 /// pool. Both derive their RNG from the same named stream, so the pair is
 /// bit-identical to two serial [`run`] calls at any `PARD_THREADS`.
 pub fn run_pair(inject_rate: f64, requests: u64) -> (RunResult, RunResult) {
+    run_pair_with(inject_rate, requests, &RunConfig::default())
+}
+
+/// As [`run_pair`], with both simulations observed as `run` says.
+pub fn run_pair_with(inject_rate: f64, requests: u64, run: &RunConfig) -> (RunResult, RunResult) {
     let mut results = par_map(vec![false, true], |priorities| {
-        run(inject_rate, priorities, requests)
+        run_with(inject_rate, priorities, requests, run, |_| {})
     });
     let pard = results.pop().expect("pard run");
     let base = results.pop().expect("baseline run");
@@ -128,21 +133,29 @@ pub fn summary_json(inject_rate: f64, base: &RunResult, pard: &RunResult) -> Jso
 
 /// Runs the injector against the DDR3 controller and collects queueing
 /// delays. `inject_rate` is the fraction of peak request bandwidth
-/// (one 64 B burst per 5 ns = 200 M requests/s at 1.0).
+/// (one 64 B burst per 5 ns = 200 M requests/s at 1.0). The bare
+/// simulation is unobserved.
 pub fn run(inject_rate: f64, priorities: bool, requests: u64) -> RunResult {
-    run_with(inject_rate, priorities, requests, |_| {})
+    run_with(
+        inject_rate,
+        priorities,
+        requests,
+        &RunConfig::default(),
+        |_| {},
+    )
 }
 
-/// As [`run`], with a setup hook called on the controller's plane before
-/// injection starts (the policy equivalence suite installs the built-in
-/// program explicitly through it).
+/// As [`run`], observed as `run` says, with a setup hook called on the
+/// controller's plane before injection starts (the policy equivalence
+/// suite installs the built-in program explicitly through it).
 pub fn run_with(
     inject_rate: f64,
     priorities: bool,
     requests: u64,
+    run: &RunConfig,
     setup: impl FnOnce(&mut pard_cp::ControlPlane),
 ) -> RunResult {
-    let mut sim: Simulation<PardEvent> = Simulation::new();
+    let mut sim: Simulation<PardEvent> = Simulation::with_config(run.clone());
     let (ctrl_model, cp) = MemCtrl::new(MemCtrlConfig {
         priorities_enabled: priorities,
         record_queueing: true,

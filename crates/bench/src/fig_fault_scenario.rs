@@ -35,6 +35,7 @@ use pard_icn::{NetFrame, PardEvent};
 use pard_prm::recovery;
 use pard_sim::fault::{FaultKind, FaultPlan};
 use pard_sim::par::par_map;
+use pard_sim::RunConfig;
 use pard_workloads::{DiskCopy, DiskCopyConfig, LbmProxy, Leslie3dProxy};
 
 use crate::json::JsonValue;
@@ -166,10 +167,10 @@ fn drain(server: &mut PardServer, core: usize) -> PhaseStats {
 
 /// Runs the machine once. `recovery` selects the action the degradation
 /// trigger is bound to: the shipped composite recovery script, or a no-op
-/// monitor. The caller owns fault-plan installation (the scenario never
-/// touches the global plan, so harnesses can run it fault-free too).
-pub fn run(recovery_enabled: bool, tl: Timeline) -> RunOutput {
-    run_with(recovery_enabled, tl, |_| {})
+/// monitor. The machine runs under `run`, fault plan included (the
+/// caller picks it, so harnesses can run the scenario fault-free too).
+pub fn run(recovery_enabled: bool, tl: Timeline, run: &RunConfig) -> RunOutput {
+    run_with(recovery_enabled, tl, run, |_| {})
 }
 
 /// As [`run`], with a setup hook called on the launched server before the
@@ -178,10 +179,12 @@ pub fn run(recovery_enabled: bool, tl: Timeline) -> RunOutput {
 pub fn run_with(
     recovery_enabled: bool,
     tl: Timeline,
+    run: &RunConfig,
     setup: impl FnOnce(&mut PardServer),
 ) -> RunOutput {
     let mut cfg = SystemConfig::asplos15();
     cfg.core.record_miss_latency = true;
+    cfg.run = run.clone();
     let mut server = PardServer::new(cfg);
     assert_eq!(
         server.core_component_id(1).raw(),
@@ -354,8 +357,8 @@ pub fn run_with(
 /// Runs the `(no_recovery, recovery)` pair as two independent machines
 /// fanned over the [`par_map`] worker pool — bit-identical to two serial
 /// [`run`] calls at any `PARD_THREADS`.
-pub fn run_pair(tl: Timeline) -> (RunOutput, RunOutput) {
-    let mut results = par_map(vec![false, true], |recovery| run(recovery, tl));
+pub fn run_pair(tl: Timeline, run_config: &RunConfig) -> (RunOutput, RunOutput) {
+    let mut results = par_map(vec![false, true], |recovery| run(recovery, tl, run_config));
     let with_recovery = results.pop().expect("recovery run");
     let without = results.pop().expect("no-recovery run");
     (without, with_recovery)

@@ -15,6 +15,7 @@
 //!   half)`.
 
 use pard::{Action, CmpOp, DsId, LDomSpec, PardServer, SystemConfig, Time};
+use pard_sim::RunConfig;
 use pard_workloads::{Memcached, MemcachedConfig, Stream, StreamConfig};
 
 /// Which of the three Figure 8 configurations to run.
@@ -101,37 +102,40 @@ pub struct MemcachedPoint {
 /// (but launches only what the mode requires). Returns the server and the
 /// memcached LDom's DS-id.
 pub fn build_memcached_server(s: &MemcachedScenario) -> (PardServer, DsId) {
-    build_memcached_inner(s, s.mode != MemcachedMode::Solo, true)
+    build_memcached_inner(s, s.mode != MemcachedMode::Solo, true, &RunConfig::from_env())
 }
 
 /// Like [`build_memcached_server`] but without installing the trigger
 /// rule, so harnesses can install a variant (threshold sweeps).
 pub fn build_memcached_server_no_rule(s: &MemcachedScenario) -> (PardServer, DsId) {
-    build_memcached_inner(s, s.mode != MemcachedMode::Solo, false)
+    build_memcached_inner(s, s.mode != MemcachedMode::Solo, false, &RunConfig::from_env())
 }
 
 /// Builds the Figure 9 scenario: PARD server with memcached launched and
 /// the STREAM LDoms created *but not yet launched*; the trigger rule is
 /// *not* yet installed either — the harness installs it once memcached
 /// has warmed (so the rule reacts to interference, not to cold-start
-/// misses) and then staggers the STREAM launches.
-pub fn install_llc_trigger_scenario(rps: f64) -> (PardServer, DsId) {
+/// misses) and then staggers the STREAM launches. The server is observed
+/// as `run` says.
+pub fn install_llc_trigger_scenario(rps: f64, run: &RunConfig) -> (PardServer, DsId) {
     let s = MemcachedScenario {
         warmup: Time::ZERO,
         ..MemcachedScenario::new(MemcachedMode::SharedWithTrigger, rps)
     };
-    build_memcached_inner(&s, false, false)
+    build_memcached_inner(&s, false, false, run)
 }
 
 fn build_memcached_inner(
     s: &MemcachedScenario,
     launch_streams: bool,
     install_rule: bool,
+    run: &RunConfig,
 ) -> (PardServer, DsId) {
     let mut cfg = match s.mode {
         MemcachedMode::Shared => SystemConfig::asplos15().without_pard(),
         _ => SystemConfig::asplos15(),
     };
+    cfg.run = run.clone();
     // Half-millisecond statistics windows: ~10 requests per window, so
     // the miss-rate column reflects behaviour rather than single-request
     // noise (the paper's counters integrate over similar spans).

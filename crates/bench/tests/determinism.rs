@@ -101,7 +101,8 @@ fn fig11_summary_matches_committed_golden() {
 /// `run_for` calls covering `total`: events delivered, DRAM requests
 /// served, per-DS LLC `(hits, misses)` and per-core operation counts.
 fn sliced_fig09_machine(total: Time, slices: u64) -> (u64, u64, Vec<(u64, u64)>, Vec<u64>) {
-    let (mut server, mc): (PardServer, DsId) = install_llc_trigger_scenario(20_000.0);
+    let (mut server, mc): (PardServer, DsId) =
+        install_llc_trigger_scenario(20_000.0, &pard_sim::RunConfig::default());
     install_llc_trigger(&mut server, mc);
     for ds in 0..=3u16 {
         server.launch(DsId::new(ds)).expect("launch");

@@ -2,9 +2,9 @@
 //!
 //! Two contracts from the fault module's design:
 //!
-//! 1. **Empty plan ⇒ no effect.** Installing a plan with no events must
-//!    leave every simulation byte-identical to a run with no plan at
-//!    all — the guard mask stays zero and no hot path ever consults the
+//! 1. **Empty plan ⇒ no effect.** Running under a plan with no events
+//!    must leave every simulation byte-identical to a run with no plan at
+//!    all — no class bit is set and no hot path ever consults the
 //!    schedule. Checked against the Figure 11 scenario, which exercises
 //!    the DRAM controller the DRAM fault hooks live in.
 //! 2. **Same plan + seed ⇒ same figure.** The `fig_fault` JSON must be
@@ -12,37 +12,43 @@
 //!    runs: every injection decision derives from the plan, the seed,
 //!    and simulated time — never from wall-clock or scheduling order.
 //!
-//! The fault plan and `PARD_THREADS` are process-global, so everything
-//! lives in one test function (same discipline as the audit suite);
-//! splitting it up would let parallel test threads race on the
-//! installed plan.
+//! Each machine carries its own plan, so the contracts are separate
+//! tests; the second owns its `PARD_THREADS` matrix.
+
+use std::sync::Arc;
 
 use pard_bench::fig11_scenario;
 use pard_bench::fig_fault_scenario::{default_plan, run_pair, summary_json, Timeline, PLAN_SEED};
 use pard_bench::json::JsonValue;
-use pard_sim::fault::{self, FaultPlan};
+use pard_sim::fault::FaultPlan;
+use pard_sim::RunConfig;
+
+fn faulted(plan: FaultPlan) -> RunConfig {
+    RunConfig {
+        faults: Some(Arc::new(plan)),
+        ..RunConfig::default()
+    }
+}
 
 #[test]
-fn fault_plans_are_deterministic_and_empty_plans_are_free() {
-    // --- Contract 1: empty plan is byte-identical to no plan. ---
-    let fig11 = || {
-        let (base, pard) = fig11_scenario::run_pair(0.55, 2_000);
+fn an_empty_fault_plan_is_free() {
+    let fig11 = |run: &RunConfig| {
+        let (base, pard) = fig11_scenario::run_pair_with(0.55, 2_000, run);
         fig11_scenario::summary_json(0.55, &base, &pard).to_string_pretty()
     };
-    assert!(!fault::installed(), "no plan expected at test start");
-    let unfaulted = fig11();
-    fault::install(FaultPlan::new(PLAN_SEED));
-    let empty_plan = fig11();
+    let unfaulted = fig11(&RunConfig::default());
+    let empty_plan = fig11(&faulted(FaultPlan::new(PLAN_SEED)));
     assert_eq!(
         unfaulted, empty_plan,
         "an empty fault plan must not perturb fig11 output"
     );
+}
 
-    // --- Contract 2: fig_fault is thread-count- and replay-stable. ---
+#[test]
+fn fault_plans_are_deterministic_across_thread_counts_and_replays() {
     let tl = Timeline::at_scale(0.25);
     let fig_fault = || {
-        fault::install(default_plan(tl));
-        let (base, rec) = run_pair(tl);
+        let (base, rec) = run_pair(tl, &faulted(default_plan(tl)));
         summary_json(tl, &base, &rec).to_string_pretty()
     };
 
@@ -68,7 +74,4 @@ fn fault_plans_are_deterministic_and_empty_plans_are_free() {
         Some(JsonValue::Bool(true)) => {}
         other => panic!("recovery acceptance not met: {other:?}"),
     }
-
-    fault::disable();
-    assert!(!fault::installed());
 }

@@ -8,9 +8,12 @@
 //! One test owns the whole matrix because `PARD_THREADS` is
 //! process-global state (same convention as `tests/thread_identity.rs`).
 
+use std::sync::Arc;
+
 use pard_bench::fig_fleet_scenario::{sweep_json, FleetCell};
 use pard_fleet::{run_consolidation, FleetConfig};
-use pard_sim::audit;
+use pard_sim::audit::{AuditConfig, Auditor};
+use pard_sim::RunConfig;
 
 /// The default-scale ratio-4 pair (disarmed, then armed) — the cell of
 /// the figure where consolidation hurts and the manager's reaction is
@@ -31,9 +34,15 @@ fn fleet_runs_replay_byte_identically_and_reactions_recover_the_slo() {
     // Panic-free strict accounting for every run in this test: a fleet
     // reaction that loses or duplicates a request (or a cache line, or a
     // byte of LDom memory) must fail here, not drift a percentile.
-    audit::install(audit::AuditConfig::strict()).unwrap();
-
-    let base = FleetConfig::default_scale();
+    let auditor = Arc::new(Auditor::new(AuditConfig::strict()).unwrap());
+    let run = RunConfig {
+        auditor: Some(auditor.clone()),
+        ..RunConfig::default()
+    };
+    let base = FleetConfig {
+        run: run.clone(),
+        ..FleetConfig::default_scale()
+    };
 
     std::env::set_var("PARD_THREADS", "1");
     let one = sweep_json(&base, &ratio4_pair(&base)).to_string_pretty();
@@ -79,7 +88,7 @@ fn fleet_runs_replay_byte_identically_and_reactions_recover_the_slo() {
     // tenant escalates with headroom everywhere, so the ladder runs to its
     // end — re-shard, repeat escalation, drain, retire, migrate — and the
     // SLOs hold right through the churn.
-    let quick = FleetConfig::default_scale().scaled(0.25);
+    let quick = base.clone().scaled(0.25);
     let moved = run_consolidation(&quick, 1, true);
     assert!(
         moved.migrations >= 1,
@@ -97,9 +106,9 @@ fn fleet_runs_replay_byte_identically_and_reactions_recover_the_slo() {
     );
 
     assert_eq!(
-        audit::violations_total(),
+        auditor.violations_total(),
         0,
         "every conservation ledger must balance across re-shard and migration"
     );
-    audit::disable();
+    assert!(auditor.deliveries_observed() > 0, "the fleets were audited");
 }

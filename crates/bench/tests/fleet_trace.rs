@@ -10,43 +10,54 @@
 //! interleave in the sink in thread order, so the comparison is on the
 //! sorted lines.
 //!
-//! One test owns the whole matrix because `PARD_THREADS`, the tracer and
-//! the fault plan are process-global state.
+//! One test owns the whole matrix because `PARD_THREADS` is
+//! process-global state.
+
+use std::sync::Arc;
 
 use pard_fleet::{run_fleet, FleetConfig, FleetOutcome};
-use pard_sim::fault::{self, FaultKind, FaultPlan};
-use pard_sim::trace::{self, TraceCat, TraceConfig};
-use pard_sim::Time;
+use pard_sim::fault::{FaultKind, FaultPlan};
+use pard_sim::trace::{TraceCat, TraceConfig, Tracer};
+use pard_sim::{RunConfig, Time};
 
-/// Outcome debug text plus the sorted trace lines of one fleet run.
+/// Outcome debug text plus the sorted trace lines of one fleet run, its
+/// machines and manager tracing into one fresh tracer.
 fn traced_fleet(cfg: &FleetConfig) -> (String, Vec<String>) {
-    trace::install(TraceConfig {
-        // The kernel category kept 1-in-7: a per-process countdown would
-        // keep a thread-timing-dependent subset.
-        sample: vec![
-            (TraceCat::Kernel, 7),
-            (TraceCat::Dram, 5),
-            (TraceCat::Llc, 3),
-        ],
-        ring_capacity: 1 << 20,
-        ..TraceConfig::default()
-    })
-    .expect("install tracer");
-    let out: FleetOutcome = run_fleet(cfg);
-    let mut lines = trace::recent_lines();
+    let tracer = Arc::new(
+        Tracer::new(TraceConfig {
+            // The kernel category kept 1-in-7: a per-process countdown
+            // would keep a thread-timing-dependent subset.
+            sample: vec![
+                (TraceCat::Kernel, 7),
+                (TraceCat::Dram, 5),
+                (TraceCat::Llc, 3),
+            ],
+            ring_capacity: 1 << 20,
+            ..TraceConfig::default()
+        })
+        .expect("create tracer"),
+    );
+    let cfg = FleetConfig {
+        run: RunConfig {
+            tracer: Some(tracer.clone()),
+            ..cfg.run.clone()
+        },
+        ..cfg.clone()
+    };
+    let out: FleetOutcome = run_fleet(&cfg);
+    let mut lines = tracer.recent_lines();
     assert_eq!(
         lines.len() as u64,
-        trace::lines_emitted(),
+        tracer.lines_emitted(),
         "ring overflowed"
     );
-    trace::disable();
     lines.sort_unstable();
     (format!("{out:?}"), lines)
 }
 
 #[test]
 fn traced_faulted_fleet_is_identical_across_thread_counts() {
-    let cfg = FleetConfig {
+    let mut cfg = FleetConfig {
         epochs: 3,
         warmup_epochs: 1,
         flash_from_epoch: 1,
@@ -54,36 +65,39 @@ fn traced_faulted_fleet_is_identical_across_thread_counts() {
         ..FleetConfig::default_scale()
     }
     .scaled(0.1);
-    // Every fault class, from the first epoch to past the end.
+    // Every fault class, from the first epoch to past the end, on every
+    // machine.
     let (start, end) = (Time::from_us(50), cfg.total_span() + Time::from_us(1));
-    fault::install(
-        FaultPlan::new(5)
-            .with(
-                start,
-                end,
-                FaultKind::DramSlow {
-                    banks: None,
-                    extra: Time::from_ns(10),
-                },
-            )
-            .with(
-                start,
-                end,
-                FaultKind::XbarBackpressure {
-                    port: None,
-                    extra: Time::from_ns(5),
-                },
-            )
-            .with(start, end, FaultKind::NicFlap { loss_pct: 30 })
-            .with(
-                start,
-                end,
-                FaultKind::IdeDegrade {
-                    quota_pct: 50,
-                    drop_one_in: 4,
-                },
-            ),
-    );
+    let plan = FaultPlan::new(5)
+        .with(
+            start,
+            end,
+            FaultKind::DramSlow {
+                banks: None,
+                extra: Time::from_ns(10),
+            },
+        )
+        .with(
+            start,
+            end,
+            FaultKind::XbarBackpressure {
+                port: None,
+                extra: Time::from_ns(5),
+            },
+        )
+        .with(start, end, FaultKind::NicFlap { loss_pct: 30 })
+        .with(
+            start,
+            end,
+            FaultKind::IdeDegrade {
+                quota_pct: 50,
+                drop_one_in: 4,
+            },
+        );
+    cfg.run = RunConfig {
+        faults: Some(Arc::new(plan)),
+        ..RunConfig::default()
+    };
 
     let ambient = std::env::var("PARD_THREADS").ok();
     let at_ambient = traced_fleet(&cfg);
@@ -95,7 +109,6 @@ fn traced_faulted_fleet_is_identical_across_thread_counts() {
         Some(v) => std::env::set_var("PARD_THREADS", v),
         None => std::env::remove_var("PARD_THREADS"),
     }
-    fault::disable();
 
     let kernel = one
         .1

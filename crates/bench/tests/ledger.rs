@@ -8,8 +8,11 @@
 //! ledger keyed by thread would see the second machine's packets as
 //! duplicate injections of the first's.
 
+use std::sync::Arc;
+
 use pard::{CoreStats, DsId, LDomSpec, PardServer, SystemConfig, Time};
-use pard_sim::audit::{self, AuditConfig};
+use pard_sim::audit::{AuditConfig, Auditor};
+use pard_sim::RunConfig;
 use pard_workloads::{CacheFlush, DiskCopy, DiskCopyConfig};
 
 /// Number of `run_for` calls per run, and the span of each.
@@ -18,9 +21,15 @@ const STEP: Time = Time::from_us(500);
 
 /// A two-core machine driving every audited flow: cache traffic on core 0
 /// (crossbar and LLC → DRAM), a disk copy on core 1 (core → bridge → IDE,
-/// DMA into DRAM, completion interrupts).
-fn machine() -> PardServer {
-    let mut server = PardServer::new(SystemConfig::small_test());
+/// DMA into DRAM, completion interrupts). It reports to `auditor`.
+fn machine(auditor: &Arc<Auditor>) -> PardServer {
+    let mut server = PardServer::new(SystemConfig {
+        run: RunConfig {
+            auditor: Some(auditor.clone()),
+            ..RunConfig::default()
+        },
+        ..SystemConfig::small_test()
+    });
     for (i, name) in ["mem-ldom", "disk-ldom"].iter().enumerate() {
         server
             .create_ldom(LDomSpec::new(*name, vec![i], 16 << 20))
@@ -67,7 +76,8 @@ fn outputs(server: &mut PardServer) -> Outputs {
 
 #[test]
 fn audited_machines_keep_their_own_ledgers_across_threads() {
-    audit::install(AuditConfig::strict()).unwrap();
+    let auditor = Arc::new(Auditor::new(AuditConfig::strict()).unwrap());
+    let machine = || machine(&auditor);
 
     let mut solo = machine();
     for _ in 0..STEPS {
@@ -97,13 +107,16 @@ fn audited_machines_keep_their_own_ledgers_across_threads() {
     }
 
     assert_eq!(
-        audit::violations_total(),
+        auditor.violations_total(),
         0,
         "{:?}",
-        audit::first_violation()
+        auditor.first_violation()
+    );
+    assert!(
+        auditor.deliveries_observed() > 0,
+        "the machines were audited"
     );
     assert_eq!(outputs(&mut a), expected, "interleaved machine A");
     assert_eq!(outputs(&mut b), expected, "interleaved machine B");
     assert_eq!(outputs(&mut c), expected, "migrating machine C");
-    audit::disable();
 }

@@ -12,13 +12,16 @@
 //!    simulation: a traced run renders byte-identical figure JSON to an
 //!    untraced run, while the trace file itself is schema-valid JSONL.
 
+use std::sync::Arc;
+
 use pard::{DsId, LDomSpec, PardServer, SystemConfig, Time};
-use pard_bench::fig11_scenario::{run_pair, summary_json};
+use pard_bench::fig11_scenario::{run_pair_with, summary_json};
 use pard_bench::json::JsonValue;
 use pard_icn::LAddr;
 use pard_sim::check;
 use pard_sim::rng::Rng;
-use pard_sim::trace::{self, TraceConfig};
+use pard_sim::trace::{TraceConfig, Tracer};
+use pard_sim::RunConfig;
 use pard_workloads::{DiskCopy, DiskCopyConfig, Op, WorkloadEngine};
 
 /// A finite store burst: `remaining` write-allocate stores walking a
@@ -124,24 +127,26 @@ fn per_ds_stats_conserve_across_control_planes() {
 }
 
 /// A traced run produces byte-identical figure output to an untraced run,
-/// and the trace it writes is schema-valid JSONL. Install/disable stay
-/// inside one test because the tracer is process-global.
+/// and the trace it writes is schema-valid JSONL.
 #[test]
 fn tracing_does_not_perturb_figure_output() {
-    let render = || {
-        let (base, pard) = run_pair(0.55, 1_000);
+    let render = |run: &RunConfig| {
+        let (base, pard) = run_pair_with(0.55, 1_000, run);
         summary_json(0.55, &base, &pard).to_string_pretty()
     };
 
-    let untraced = render();
+    let untraced = render(&RunConfig::default());
 
     let dir = std::env::temp_dir().join(format!("pard-obs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir tempdir");
     let path = dir.join("trace.jsonl");
-    trace::install(TraceConfig::to_file(&path)).expect("install tracer");
-    let traced = render();
-    trace::flush();
-    trace::disable();
+    let tracer = Arc::new(Tracer::new(TraceConfig::to_file(&path)).expect("create tracer"));
+    let traced = render(&RunConfig {
+        tracer: Some(tracer.clone()),
+        ..RunConfig::default()
+    });
+    tracer.flush();
+    tracer.disable();
 
     assert_eq!(
         untraced, traced,

@@ -11,11 +11,14 @@
 //! The matrix also crosses `PARD_THREADS` 1 vs 4 under strict auditing,
 //! in one test because `PARD_THREADS` is process-global state.
 
+use std::sync::Arc;
+
 use pard::PardServer;
 use pard_bench::fig_fault_scenario::{self, Timeline};
 use pard_bench::{fig09_scenario, fig10_scenario, fig11_scenario};
 use pard_cp::ControlPlane;
-use pard_sim::{audit, Time};
+use pard_sim::audit::{AuditConfig, Auditor};
+use pard_sim::{RunConfig, Time};
 
 /// Reinstalls each plane's active built-in program as an explicitly
 /// installed policy, byte-for-byte.
@@ -43,8 +46,9 @@ fn reinstall_all_builtins(server: &mut PardServer) {
     }
 }
 
-/// Renders shortened fig09/fig10/fig11/fig_fault timelines to one string.
-fn render(explicit: bool) -> String {
+/// Renders shortened fig09/fig10/fig11/fig_fault timelines, run under
+/// `run`, to one string.
+fn render(explicit: bool, run: &RunConfig) -> String {
     let setup = move |server: &mut PardServer| {
         if explicit {
             reinstall_all_builtins(server);
@@ -56,13 +60,13 @@ fn render(explicit: bool) -> String {
         }
     };
 
-    let f9 = fig09_scenario::run_span_with(Time::from_ms(80), setup);
-    let f10 = fig10_scenario::run_span_with(2, Time::from_ms(200), Time::from_ms(100), setup);
-    let b11 = fig11_scenario::run_with(0.55, false, 4_000, cp_setup);
-    let p11 = fig11_scenario::run_with(0.55, true, 4_000, cp_setup);
+    let f9 = fig09_scenario::run_span_with(Time::from_ms(80), run, setup);
+    let f10 = fig10_scenario::run_span_with(2, Time::from_ms(200), Time::from_ms(100), run, setup);
+    let b11 = fig11_scenario::run_with(0.55, false, 4_000, run, cp_setup);
+    let p11 = fig11_scenario::run_with(0.55, true, 4_000, run, cp_setup);
     let tl = Timeline::at_scale(0.25);
-    let bf = fig_fault_scenario::run_with(false, tl, setup);
-    let rf = fig_fault_scenario::run_with(true, tl, setup);
+    let bf = fig_fault_scenario::run_with(false, tl, run, setup);
+    let rf = fig_fault_scenario::run_with(true, tl, run, setup);
     format!(
         "{:?}\n{:?}\n{}\n{}",
         (f9.total, f9.stream_start, f9.fired_at, f9.series),
@@ -74,13 +78,17 @@ fn render(explicit: bool) -> String {
 
 #[test]
 fn installed_builtin_text_is_byte_identical_to_the_default_path() {
-    audit::install(audit::AuditConfig::strict()).unwrap();
+    let auditor = Arc::new(Auditor::new(AuditConfig::strict()).unwrap());
+    let run = RunConfig {
+        auditor: Some(auditor.clone()),
+        ..RunConfig::default()
+    };
 
     let mut renders = Vec::new();
     for threads in ["1", "4"] {
         std::env::set_var("PARD_THREADS", threads);
-        let builtin = render(false);
-        let explicit = render(true);
+        let builtin = render(false, &run);
+        let explicit = render(true, &run);
         assert_eq!(
             builtin, explicit,
             "installing the built-in program text must not move figure \
@@ -90,8 +98,7 @@ fn installed_builtin_text_is_byte_identical_to_the_default_path() {
     }
     std::env::remove_var("PARD_THREADS");
 
-    assert_eq!(audit::violations_total(), 0, "strict audit stayed clean");
-    audit::disable();
+    assert_eq!(auditor.violations_total(), 0, "strict audit stayed clean");
 
     assert_eq!(
         renders[0], renders[1],

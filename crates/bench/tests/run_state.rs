@@ -1,26 +1,26 @@
-//! Per-machine run state: fault decisions and trace sampling belong to
-//! the simulated machine, not to the thread that runs it.
+//! Per-machine run state: the tracer, auditor and fault plan a machine
+//! runs under, its fault decisions and its trace sampling belong to the
+//! simulated machine, not to the thread that runs it.
 //!
-//! Every `Simulation` lends its run state (audit ledger, trace sample
-//! countdowns, fault decision state) to whichever thread runs it, for the
-//! length of the call. A machine's NIC frame losses and IDE request drops
-//! therefore replay its solo run however machines share threads, and one
-//! machine's sampled trace is exactly the subset the documented rule
-//! picks out of its full trace: DS-id filter first, then the first and
-//! every N-th event of each category.
-//!
-//! Fault plans and the tracer are process-global configuration, so the
-//! tests in this file take turns through [`GLOBALS`].
+//! Every `Simulation` lends its run state (configuration, audit ledger,
+//! trace sample countdowns, fault decision state) to whichever thread
+//! runs it, for the length of the call. A machine's NIC frame losses and
+//! IDE request drops therefore replay its solo run however machines share
+//! threads, an observed machine and a bare one can share a thread without
+//! either seeing the other's configuration, and one machine's sampled
+//! trace is exactly the subset the documented rule picks out of its full
+//! trace: DS-id filter first, then the first and every N-th event of each
+//! category.
 
-use std::sync::Mutex;
+use std::sync::Arc;
 
 use pard::{CoreStats, DsId, LDomSpec, PardServer, SystemConfig, Time};
 use pard_icn::{NetFrame, PardEvent};
-use pard_sim::fault::{self, FaultKind, FaultPlan};
-use pard_sim::trace::{self, TraceCat, TraceConfig};
+use pard_sim::audit::{AuditConfig, Auditor};
+use pard_sim::fault::{FaultKind, FaultPlan};
+use pard_sim::trace::{TraceCat, TraceConfig, Tracer};
+use pard_sim::RunConfig;
 use pard_workloads::{CacheFlush, DiskCopy, DiskCopyConfig};
-
-static GLOBALS: Mutex<()> = Mutex::new(());
 
 /// Number of `run_for` calls per run, and the span of each.
 const STEPS: u32 = 20;
@@ -30,9 +30,12 @@ const MAC: [u8; 6] = [0x02, 0, 0, 0, 0, 0x07];
 
 /// A two-core machine with NIC and IDE traffic: cache traffic on core 0,
 /// whose LDom owns the v-NIC that receives a frame every 5 µs; a disk
-/// copy on core 1.
-fn machine() -> PardServer {
-    machine_with(SystemConfig::small_test())
+/// copy on core 1. It runs under `run`.
+fn machine(run: &RunConfig) -> PardServer {
+    machine_with(SystemConfig {
+        run: run.clone(),
+        ..SystemConfig::small_test()
+    })
 }
 
 fn machine_with(cfg: SystemConfig) -> PardServer {
@@ -105,15 +108,13 @@ fn outputs(server: &mut PardServer) -> Outputs {
     }
 }
 
-#[test]
-fn faulted_machines_keep_their_own_decisions_across_threads() {
-    let _globals = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
-    // Both stateful fault classes strike for most of the run: 40 % frame
-    // loss drawn from the plan-seeded stream, and every 3rd queued IDE
-    // request considered under the degraded quota aborted.
+/// Both stateful fault classes strike for most of the run: 40 % frame
+/// loss drawn from the plan-seeded stream, and every 3rd queued IDE
+/// request considered under the degraded quota aborted.
+fn plan() -> Arc<FaultPlan> {
     let start = Time::from_us(600);
     let end = Time::from_us(7_000);
-    fault::install(
+    Arc::new(
         FaultPlan::new(11)
             .with(start, end, FaultKind::NicFlap { loss_pct: 40 })
             .with(
@@ -124,7 +125,16 @@ fn faulted_machines_keep_their_own_decisions_across_threads() {
                     drop_one_in: 3,
                 },
             ),
-    );
+    )
+}
+
+#[test]
+fn faulted_machines_keep_their_own_decisions_across_threads() {
+    let faulted = RunConfig {
+        faults: Some(plan()),
+        ..RunConfig::default()
+    };
+    let machine = || machine(&faulted);
 
     let mut solo = machine();
     for _ in 0..STEPS {
@@ -150,8 +160,7 @@ fn faulted_machines_keep_their_own_decisions_across_threads() {
     }
     let (a, b, c) = (outputs(&mut a), outputs(&mut b), outputs(&mut c));
 
-    fault::disable();
-    let mut unfaulted = machine();
+    let mut unfaulted = self::machine(&RunConfig::default());
     for _ in 0..STEPS {
         unfaulted.run_for(STEP);
     }
@@ -170,29 +179,44 @@ fn faulted_machines_keep_their_own_decisions_across_threads() {
     assert_eq!(c, expected, "migrating machine C");
 }
 
+/// A ring-only tracer large enough to hold a whole short run.
+fn ring_tracer(config: TraceConfig) -> Arc<Tracer> {
+    Arc::new(
+        Tracer::new(TraceConfig {
+            ring_capacity: 1 << 20,
+            ..config
+        })
+        .expect("create tracer"),
+    )
+}
+
+/// The lines `tracer` kept, checked for ring overflow.
+fn kept_lines(tracer: &Tracer) -> Vec<String> {
+    let lines = tracer.recent_lines();
+    assert_eq!(
+        lines.len() as u64,
+        tracer.lines_emitted(),
+        "ring overflowed"
+    );
+    lines
+}
+
 /// The trace lines of one machine run for 200 µs, in two calls, under
 /// `config`. Its IDE grants a quantum every 5 µs, so the control-path
 /// categories see traffic in so short a span too.
 fn traced_run(config: TraceConfig) -> Vec<String> {
-    trace::install(TraceConfig {
-        ring_capacity: 1 << 20,
-        ..config
-    })
-    .expect("install tracer");
+    let tracer = ring_tracer(config);
     let mut cfg = SystemConfig::small_test();
     cfg.ide.quantum = Time::from_us(5);
+    cfg.run = RunConfig {
+        tracer: Some(tracer.clone()),
+        ..RunConfig::default()
+    };
     let mut server = machine_with(cfg);
     for _ in 0..2 {
         server.run_for(Time::from_us(100));
     }
-    let lines = trace::recent_lines();
-    assert_eq!(
-        lines.len() as u64,
-        trace::lines_emitted(),
-        "ring overflowed"
-    );
-    trace::disable();
-    lines
+    kept_lines(&tracer)
 }
 
 /// `(category, DS-id)` of a rendered trace line.
@@ -256,7 +280,6 @@ fn reference_subset(full: &[String], config: &TraceConfig) -> Vec<String> {
 
 #[test]
 fn one_machine_keeps_the_documented_trace_subset() {
-    let _globals = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     let full = traced_run(TraceConfig {
         sample: TraceCat::ALL.iter().map(|&c| (c, 1)).collect(),
         ..TraceConfig::default()
@@ -310,4 +333,81 @@ fn one_machine_keeps_the_documented_trace_subset() {
         assert!(kept.len() > 20, "{label}: too few lines to compare");
         assert_eq!(kept, expected, "{label}");
     }
+}
+
+/// What an observed machine leaves behind: its outputs, the trace lines
+/// it kept and its auditor's violation and delivery counts.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    outputs: Outputs,
+    lines: Vec<String>,
+    violations: u64,
+    deliveries: u64,
+}
+
+/// A traced (sampled), strict-audited, faulted configuration with a
+/// fresh tracer and auditor.
+fn observed() -> (RunConfig, Arc<Tracer>, Arc<Auditor>) {
+    let tracer = ring_tracer(TraceConfig {
+        sample: vec![(TraceCat::Kernel, 64), (TraceCat::Llc, 16)],
+        ..TraceConfig::default()
+    });
+    let auditor = Arc::new(Auditor::new(AuditConfig::strict()).unwrap());
+    let run = RunConfig {
+        tracer: Some(tracer.clone()),
+        auditor: Some(auditor.clone()),
+        faults: Some(plan()),
+    };
+    (run, tracer, auditor)
+}
+
+fn observed_outputs(server: &mut PardServer, tracer: &Tracer, auditor: &Auditor) -> Observed {
+    Observed {
+        outputs: outputs(server),
+        lines: kept_lines(tracer),
+        violations: auditor.violations_total(),
+        deliveries: auditor.deliveries_observed(),
+    }
+}
+
+#[test]
+fn an_observed_and_a_bare_machine_share_a_thread() {
+    // Each alone.
+    let (run, tracer, auditor) = observed();
+    let mut solo = machine(&run);
+    for _ in 0..STEPS {
+        solo.run_for(STEP);
+    }
+    let expected = observed_outputs(&mut solo, &tracer, &auditor);
+    let mut bare_solo = machine(&RunConfig::default());
+    for _ in 0..STEPS {
+        bare_solo.run_for(STEP);
+    }
+    let bare_expected = outputs(&mut bare_solo);
+    assert!(
+        expected.outputs.nic_dropped > bare_expected.nic_dropped
+            && expected.outputs.ide_drops > 0
+            && bare_expected.ide_drops == 0,
+        "only the observed machine is faulted: {expected:?} vs {bare_expected:?}"
+    );
+    assert!(expected.lines.len() > 100, "the observed machine is traced");
+    assert!(expected.deliveries > 0, "the observed machine is audited");
+
+    // Interleaved call by call on this thread.
+    let (run, tracer, auditor) = observed();
+    let (mut a, mut b) = (machine(&run), machine(&RunConfig::default()));
+    for _ in 0..STEPS {
+        a.run_for(STEP);
+        b.run_for(STEP);
+    }
+    assert_eq!(
+        observed_outputs(&mut a, &tracer, &auditor),
+        expected,
+        "the observed machine kept its own outputs, trace and audit"
+    );
+    assert_eq!(
+        outputs(&mut b),
+        bare_expected,
+        "the bare machine stayed bare"
+    );
 }

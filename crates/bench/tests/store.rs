@@ -15,23 +15,23 @@
 //!   byte-deterministic at *any* pool size, with any sampling divisors.
 //! * fig11 runs its baseline/PARD pair under the `par_map` harness. At
 //!   one thread everything is sequential and the default-sampled trace
-//!   is deterministic. At four threads the workers race for the global
-//!   tracer lock: the *interleaving* is nondeterministic and the shared
-//!   sampling counters would make even the kept-set racy — so the
+//!   is deterministic. At four threads the workers race for the shared
+//!   tracer's lock, so the *interleaving* is nondeterministic; the
 //!   4-thread comparison pins the one category fig11 emits (`dram`) to
-//!   sampling divisor 1 (no counter to race) and compares sorted
-//!   multisets.
+//!   sampling divisor 1 and compares sorted multisets.
 //!
-//! One test function owns the whole matrix because the tracer, the
-//! auditor, and `PARD_THREADS` are process-global.
+//! One test function owns the whole matrix because `PARD_THREADS` is
+//! process-global.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use pard_bench::replay::{check_trace_file, stream_trace_lines};
 use pard_bench::{fig09_scenario, fig11_scenario};
+use pard_sim::audit::{AuditConfig, Auditor};
 use pard_sim::store::TraceReader;
-use pard_sim::trace::{self, TraceCat, TraceConfig};
-use pard_sim::audit;
+use pard_sim::trace::{TraceCat, TraceConfig, Tracer};
+use pard_sim::RunConfig;
 
 /// Decodes every event of `path` (JSONL or `.ptr`, sniffed by magic) as
 /// its JSONL line, asserting the file is whole (no torn tail).
@@ -46,37 +46,51 @@ fn decoded_lines(path: &Path) -> Vec<String> {
     lines
 }
 
-/// Installs a tracer to `path` and runs the fig11 baseline/PARD pair.
+/// A run configuration tracing to `path` (small store pages) and
+/// reporting to `auditor`, and the tracer.
+fn traced_to(
+    path: &Path,
+    filter: Vec<(TraceCat, Option<u16>)>,
+    sample: Vec<(TraceCat, u32)>,
+    auditor: &Arc<Auditor>,
+) -> (RunConfig, Arc<Tracer>) {
+    let tracer = Arc::new(
+        Tracer::new(TraceConfig {
+            path: Some(path.to_path_buf()),
+            filter,
+            sample,
+            page_size: 4096,
+            pool_pages: 2,
+            ..TraceConfig::default()
+        })
+        .unwrap(),
+    );
+    let run = RunConfig {
+        tracer: Some(tracer.clone()),
+        auditor: Some(auditor.clone()),
+        faults: None,
+    };
+    (run, tracer)
+}
+
+/// Traces the fig11 baseline/PARD pair to `path`.
 fn capture_fig11(
     path: &PathBuf,
     filter: Vec<(TraceCat, Option<u16>)>,
     sample: Vec<(TraceCat, u32)>,
+    auditor: &Arc<Auditor>,
 ) -> Vec<String> {
-    trace::install(TraceConfig {
-        path: Some(path.clone()),
-        filter,
-        sample,
-        page_size: 4096,
-        pool_pages: 2,
-        ..TraceConfig::default()
-    })
-    .unwrap();
-    let _ = fig11_scenario::run_pair(0.55, 1_000);
-    trace::disable();
+    let (run, tracer) = traced_to(path, filter, sample, auditor);
+    let _ = fig11_scenario::run_pair_with(0.55, 1_000, &run);
+    tracer.disable();
     decoded_lines(path)
 }
 
-/// Installs a tracer to `path` and runs the fig09 timeline.
-fn capture_fig09(path: &PathBuf) -> Vec<String> {
-    trace::install(TraceConfig {
-        path: Some(path.clone()),
-        page_size: 4096,
-        pool_pages: 2,
-        ..TraceConfig::default()
-    })
-    .unwrap();
-    let _ = fig09_scenario::run_timeline(0.25);
-    trace::disable();
+/// Traces the fig09 timeline to `path`.
+fn capture_fig09(path: &PathBuf, auditor: &Arc<Auditor>) -> Vec<String> {
+    let (run, tracer) = traced_to(path, Vec::new(), Vec::new(), auditor);
+    let _ = fig09_scenario::run_timeline(0.25, &run);
+    tracer.disable();
     decoded_lines(path)
 }
 
@@ -85,12 +99,13 @@ fn capture_fig09(path: &PathBuf) -> Vec<String> {
 fn binary_store_round_trips_figure_traces_and_seeks() {
     let dir = std::env::temp_dir().join(format!("pard-store-it-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    audit::install(audit::AuditConfig::strict()).unwrap();
+    let auditor = Arc::new(Auditor::new(AuditConfig::strict()).unwrap());
+    let auditor = &auditor;
 
     // fig11, one thread: full default-sampled trace, exact equality.
     std::env::set_var("PARD_THREADS", "1");
-    let jsonl = capture_fig11(&dir.join("fig11-t1.jsonl"), Vec::new(), Vec::new());
-    let binary = capture_fig11(&dir.join("fig11-t1.ptr"), Vec::new(), Vec::new());
+    let jsonl = capture_fig11(&dir.join("fig11-t1.jsonl"), Vec::new(), Vec::new(), auditor);
+    let binary = capture_fig11(&dir.join("fig11-t1.ptr"), Vec::new(), Vec::new(), auditor);
     assert!(!jsonl.is_empty(), "the traced run must emit events");
     assert_eq!(
         jsonl, binary,
@@ -103,8 +118,13 @@ fn binary_store_round_trips_figure_traces_and_seeks() {
     let dram = vec![(TraceCat::Dram, None)];
     let keep_all = vec![(TraceCat::Dram, 1)];
     std::env::set_var("PARD_THREADS", "4");
-    let mut jsonl = capture_fig11(&dir.join("fig11-t4.jsonl"), dram.clone(), keep_all.clone());
-    let mut binary = capture_fig11(&dir.join("fig11-t4.ptr"), dram, keep_all);
+    let mut jsonl = capture_fig11(
+        &dir.join("fig11-t4.jsonl"),
+        dram.clone(),
+        keep_all.clone(),
+        auditor,
+    );
+    let mut binary = capture_fig11(&dir.join("fig11-t4.ptr"), dram, keep_all, auditor);
     assert!(!jsonl.is_empty());
     assert_eq!(jsonl.len(), binary.len());
     jsonl.sort();
@@ -117,12 +137,12 @@ fn binary_store_round_trips_figure_traces_and_seeks() {
     // fig09 (one machine): byte-deterministic at any pool size, so both
     // formats and both thread settings must agree exactly.
     std::env::set_var("PARD_THREADS", "1");
-    let jsonl_t1 = capture_fig09(&dir.join("fig09-t1.jsonl"));
+    let jsonl_t1 = capture_fig09(&dir.join("fig09-t1.jsonl"), auditor);
     let ptr_t1_path = dir.join("fig09-t1.ptr");
-    let binary_t1 = capture_fig09(&ptr_t1_path);
+    let binary_t1 = capture_fig09(&ptr_t1_path, auditor);
     std::env::set_var("PARD_THREADS", "4");
-    let jsonl_t4 = capture_fig09(&dir.join("fig09-t4.jsonl"));
-    let binary_t4 = capture_fig09(&dir.join("fig09-t4.ptr"));
+    let jsonl_t4 = capture_fig09(&dir.join("fig09-t4.jsonl"), auditor);
+    let binary_t4 = capture_fig09(&dir.join("fig09-t4.ptr"), auditor);
     std::env::remove_var("PARD_THREADS");
     assert!(!jsonl_t1.is_empty());
     assert_eq!(jsonl_t1, binary_t1, "fig09 @ 1 thread: formats must agree");
@@ -162,7 +182,6 @@ fn binary_store_round_trips_figure_traces_and_seeks() {
     assert_eq!(numbers.first().copied(), Some(from + 1));
     assert_eq!(numbers.last().copied(), Some(binary_t1.len() as u64));
 
-    assert_eq!(audit::violations_total(), 0, "strict audit stayed clean");
-    audit::disable();
+    assert_eq!(auditor.violations_total(), 0, "strict audit stayed clean");
     std::fs::remove_dir_all(&dir).ok();
 }

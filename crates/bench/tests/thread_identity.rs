@@ -7,31 +7,41 @@
 //! at every thread setting. One test owns the whole matrix because
 //! `PARD_THREADS` is process-global state.
 
+use std::sync::Arc;
+
 use pard_bench::fig11_scenario;
 use pard_bench::fig_fault_scenario::{self, Timeline};
 use pard_bench::{fig09_scenario, fig10_scenario};
-use pard_sim::{audit, trace};
+use pard_sim::audit::{AuditConfig, Auditor};
+use pard_sim::trace::{TraceConfig, Tracer};
+use pard_sim::RunConfig;
 
 #[test]
 fn figure_outputs_are_byte_identical_across_thread_counts() {
     // All categories into the in-memory ring (default sampling), and
     // panic on the first conservation violation: a run that loses or
     // duplicates a packet must fail here, not drift a figure.
-    trace::install(trace::TraceConfig::default()).unwrap();
-    audit::install(audit::AuditConfig::strict()).unwrap();
+    let tracer = Arc::new(Tracer::new(TraceConfig::default()).unwrap());
+    let auditor = Arc::new(Auditor::new(AuditConfig::strict()).unwrap());
+    let run = RunConfig {
+        tracer: Some(tracer.clone()),
+        auditor: Some(auditor.clone()),
+        faults: None,
+    };
 
     let render = || {
-        let f9 = fig09_scenario::run_timeline(0.25);
+        let f9 = fig09_scenario::run_timeline(0.25, &run);
         // A shortened fig10 span: the quota echo still lands mid-run, but
         // the disk copies only cover a quarter of the default timeline.
         let f10 = fig10_scenario::run_span(
             2,
             pard_sim::Time::from_ms(200),
             pard_sim::Time::from_ms(100),
+            &run,
         );
-        let (b11, p11) = fig11_scenario::run_pair(0.55, 4_000);
+        let (b11, p11) = fig11_scenario::run_pair_with(0.55, 4_000, &run);
         let tl = Timeline::at_scale(0.25);
-        let (bf, rf) = fig_fault_scenario::run_pair(tl);
+        let (bf, rf) = fig_fault_scenario::run_pair(tl, &run);
         format!(
             "{:?}\n{:?}\n{}\n{}",
             (f9.total, f9.stream_start, f9.fired_at, f9.series),
@@ -47,9 +57,8 @@ fn figure_outputs_are_byte_identical_across_thread_counts() {
     let four = render();
     std::env::remove_var("PARD_THREADS");
 
-    assert_eq!(audit::violations_total(), 0, "strict audit stayed clean");
-    audit::disable();
-    trace::disable();
+    assert_eq!(auditor.violations_total(), 0, "strict audit stayed clean");
+    assert!(tracer.lines_emitted() > 0, "the runs were traced");
 
     assert_eq!(one, four, "figure bytes must not depend on PARD_THREADS");
 }

@@ -3,7 +3,7 @@
 use pard_cache::LlcConfig;
 use pard_dram::MemCtrlConfig;
 use pard_io::{IdeConfig, IoBridgeConfig, NicConfig};
-use pard_sim::Time;
+use pard_sim::{RunConfig, Time};
 
 use crate::core_model::CoreConfig;
 
@@ -46,6 +46,10 @@ pub struct SystemConfig {
     /// [`pard_sim::rng::stream_rng`]`(seed, "<stream>")`, so two servers
     /// built from equal configs replay identical randomness.
     pub seed: u64,
+    /// The machine's tracer, auditor and fault plan. Defaults to what
+    /// the `PARD_TRACE*` / `PARD_AUDIT*` environment asks for
+    /// ([`RunConfig::from_env`]), with no fault plan.
+    pub run: RunConfig,
 }
 
 impl SystemConfig {
@@ -143,6 +147,7 @@ impl Default for SystemConfig {
             max_ds: 256,
             pard_enabled: true,
             seed: 0,
+            run: RunConfig::from_env(),
         }
     }
 }

@@ -6,8 +6,8 @@ use pard_dram::{MemCtrl, QueueingStats};
 use pard_icn::{Crossbar, DsId, PardEvent, TickKind};
 use pard_io::{Apic, ApicRoutes, IdeCtrl, IoBridge, Nic};
 use pard_prm::{Firmware, FirmwareConfig, FwError, FwHandle, LDomSpec, MetricsSnapshot, Prm};
-use pard_sim::trace::{self, TraceCat, TraceVal};
-use pard_sim::{audit, ComponentId, Simulation, Time};
+use pard_sim::trace::{self, TraceCat, TraceVal, Tracer};
+use pard_sim::{ComponentId, Simulation, Time};
 use pard_workloads::WorkloadEngine;
 
 use crate::config::SystemConfig;
@@ -44,22 +44,17 @@ pub struct PardServer {
 }
 
 impl PardServer {
-    /// Builds and wires the whole machine.
+    /// Builds and wires the whole machine. It traces, audits and injects
+    /// faults as `cfg.run` says — by default, as the environment asks.
+    /// The machine's ledger, trace sample countdowns and fault decisions
+    /// live in its simulation, so none carry over between machines.
     pub fn new(cfg: SystemConfig) -> Self {
-        // Arm the tracer from `PARD_TRACE` / `PARD_TRACE_FILTER` and the
-        // invariant auditor from `PARD_AUDIT` / `PARD_AUDIT_FILE` before
-        // any component can emit (idempotent; no-ops when the env is
-        // unset). The machine's ledger, trace sample countdowns and fault
-        // decisions live in its simulation, so none carry over between
-        // machines.
-        trace::init_from_env();
-        audit::init_from_env();
-        let mut sim: Simulation<PardEvent> = Simulation::new();
-
         // The kernel trace category is fed through the simulation's event
         // hook, which the kernel calls only for kept deliveries; the raw
         // kernel stays hook-free when the category is off.
-        sim.set_event_hook(Self::kernel_hook());
+        let hook = Self::kernel_hook(cfg.run.tracer.as_deref());
+        let mut sim: Simulation<PardEvent> = Simulation::with_config(cfg.run.clone());
+        sim.set_event_hook(hook);
 
         // Memory controller.
         let mem_cfg = pard_dram::MemCtrlConfig {
@@ -163,9 +158,12 @@ impl PardServer {
         }
     }
 
-    /// The kernel trace category's event-loop observer.
-    fn kernel_hook() -> Option<Box<dyn FnMut(Time, ComponentId, &PardEvent) + Send>> {
-        if !trace::enabled(TraceCat::Kernel) {
+    /// The kernel trace category's event-loop observer, when `tracer`
+    /// traces that category.
+    fn kernel_hook(
+        tracer: Option<&Tracer>,
+    ) -> Option<Box<dyn FnMut(Time, ComponentId, &PardEvent) + Send>> {
+        if !tracer.is_some_and(|t| t.enabled(TraceCat::Kernel)) {
             return None;
         }
         Some(Box::new(|now, dst, ev: &PardEvent| {
@@ -216,7 +214,7 @@ impl PardServer {
     ///
     /// Propagates firmware errors (out of DS-ids / memory).
     pub fn create_ldom(&mut self, spec: LDomSpec) -> Result<DsId, FwError> {
-        self.fw.lock().create_ldom(spec)
+        self.with_firmware(|fw| fw.create_ldom(spec))
     }
 
     /// Starts an LDom's workload at the next PRM poll.
@@ -225,7 +223,7 @@ impl PardServer {
     ///
     /// Fails for unknown DS-ids.
     pub fn launch(&mut self, ds: DsId) -> Result<(), FwError> {
-        self.fw.lock().launch_ldom(ds)
+        self.with_firmware(|fw| fw.launch_ldom(ds))
     }
 
     /// Destroys an LDom: firmware teardown (cores stopped, memory freed,
@@ -236,7 +234,7 @@ impl PardServer {
     ///
     /// Fails for unknown DS-ids.
     pub fn destroy_ldom(&mut self, ds: DsId) -> Result<(), FwError> {
-        self.fw.lock().destroy_ldom(ds)?;
+        self.with_firmware(|fw| fw.destroy_ldom(ds))?;
         self.sim
             .with_component::<Llc, _, _>(self.llc, |l| l.flush_ds(ds));
         Ok(())
@@ -256,9 +254,19 @@ impl PardServer {
     // ------------------------------------------------------------ access
 
     /// The firmware handle (for `shell`, `pardtrigger`, action
-    /// registration, logs).
+    /// registration, logs). Calls through it run outside the machine's
+    /// lend, so whatever they emit is not observed; [`shell`](Self::shell)
+    /// and the other firmware calls of `PardServer` are.
     pub fn firmware(&self) -> &FwHandle {
         &self.fw
+    }
+
+    /// Runs `f` on the locked firmware with the machine's run state lent
+    /// to this thread, so the trace events and violations of firmware
+    /// actions reach the machine's tracer and auditor.
+    fn with_firmware<R>(&mut self, f: impl FnOnce(&mut Firmware) -> R) -> R {
+        let _lend = self.sim.lend();
+        f(&mut self.fw.lock())
     }
 
     /// Runs an operator shell command against the firmware.
@@ -267,7 +275,7 @@ impl PardServer {
     ///
     /// Propagates firmware errors.
     pub fn shell(&mut self, line: &str) -> Result<String, FwError> {
-        self.fw.lock().shell(line)
+        self.with_firmware(|fw| fw.shell(line))
     }
 
     /// Number of cores.
@@ -413,8 +421,8 @@ impl PardServer {
 
     /// A machine-wide per-DS-id statistics snapshot (every control
     /// plane's non-zero rows), stamped with the firmware's current time.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.fw.lock().metrics_snapshot()
+    pub fn metrics_snapshot(&mut self) -> MetricsSnapshot {
+        self.with_firmware(|fw| fw.metrics_snapshot())
     }
 }
 
@@ -424,15 +432,17 @@ impl Drop for PardServer {
         // `PARD_METRICS=path` is set, and flush any buffered trace lines.
         if let Ok(path) = std::env::var("PARD_METRICS") {
             if !path.is_empty() {
-                let json = self.fw.lock().metrics_snapshot().to_json();
+                let json = self.metrics_snapshot().to_json();
                 let _ = std::fs::write(&path, json);
             }
         }
-        if audit::enabled() {
-            audit::emit_summary(self.sim.now());
-            audit::flush();
+        let run = self.sim.run_config();
+        if let Some(auditor) = &run.auditor {
+            auditor.emit_summary(self.sim.now());
         }
-        trace::flush();
+        if let Some(tracer) = &run.tracer {
+            tracer.flush();
+        }
     }
 }
 

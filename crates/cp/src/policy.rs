@@ -1308,7 +1308,7 @@ mod tests {
 
     #[test]
     fn shrunk_table_row_under_installed_program_is_reported_not_silent() {
-        use pard_sim::audit;
+        use pard_sim::{audit, RunConfig, RunState};
 
         // A program whose predicate and rank both read resolved param
         // offsets (priority=0, wfq_weight=2), compiled against the full
@@ -1331,11 +1331,15 @@ mod tests {
         // The table "shrinks" under the installed program: the row the
         // engine is handed no longer covers the compiled offsets. The
         // read must not be a silent zero — it reports through the audit
-        // layer (which also debug-panics when no auditor is installed,
-        // hence report mode here), then evaluates as 0 so the decision
-        // stays total.
-        audit::install(audit::AuditConfig::report()).unwrap();
-        let violations = audit::violations_total();
+        // layer (which also debug-panics when no auditor is lent, hence a
+        // run state of this test's own with a report-mode auditor), then
+        // evaluates as 0 so the decision stays total.
+        let auditor = Arc::new(audit::Auditor::new(audit::AuditConfig::report()).unwrap());
+        let mut run = RunState::new(RunConfig {
+            auditor: Some(auditor.clone()),
+            ..RunConfig::default()
+        });
+        let lend = run.lend();
         let d = eng.decide(&req(1, ReqClass::Read, 64), &[7], &[], Time::ZERO);
         // wfq_weight read 0 → first rule fails → rank param.bandwidth,
         // also out of range → rank 0.
@@ -1346,11 +1350,11 @@ mod tests {
             "both out-of-range offset reads must be counted"
         );
         assert_eq!(
-            audit::violations_total(),
-            violations + 2,
-            "an installed auditor must record the contract violation"
+            auditor.violations_total(),
+            2,
+            "a lent auditor must record the contract violation"
         );
-        audit::disable();
+        drop(lend);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fleet-level configuration and its environment overrides.
 
-use pard_sim::Time;
+use pard_sim::{RunConfig, Time};
 
 /// Per-tier SLO targets the attainment metric scores against.
 #[derive(Debug, Clone, Copy)]
@@ -53,6 +53,10 @@ pub struct FleetConfig {
     pub armed: bool,
     /// SLO targets.
     pub slo: TierSlos,
+    /// Every machine's tracer, auditor and fault plan; the manager traces
+    /// its reactions into the same tracer. Defaults to what the
+    /// environment asks for ([`RunConfig::from_env`]), with no fault plan.
+    pub run: RunConfig,
 }
 
 impl FleetConfig {
@@ -78,6 +82,7 @@ impl FleetConfig {
                 best_effort_p95: Time::from_ms(2),
                 best_effort_p99: Time::from_ms(5),
             },
+            run: RunConfig::from_env(),
         }
     }
 

@@ -139,6 +139,7 @@ impl FleetMachine {
     pub fn new(idx: usize, cfg: &FleetConfig) -> Self {
         let mut sys = SystemConfig::small_test();
         sys.seed = cfg.seed.wrapping_add(idx as u64);
+        sys.run = cfg.run.clone();
         // Fleet-scale statistics cadence: the escalation trigger reads the
         // memory `bandwidth` column, and at tens of kilo-requests per
         // second a 20 µs window holds only a couple of requests — pure

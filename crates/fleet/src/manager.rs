@@ -4,6 +4,7 @@ use pard::Time;
 use pard_sim::stats::LatencySample;
 use pard_sim::par::par_map;
 use pard_sim::trace::{self, TraceCat, TraceVal};
+use pard_sim::RunState;
 
 use crate::config::FleetConfig;
 use crate::machine::{FleetMachine, MachineEpoch};
@@ -130,6 +131,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetOutcome {
     let mut guaranteed = TierAcc::new();
     let mut best_effort = TierAcc::new();
     let mut utilization = 0.0;
+    // The manager's own run state: its reactions trace into the fleet's
+    // tracer, sampled on countdowns of their own.
+    let mut manager = RunState::new(cfg.run.clone());
 
     for epoch in 0..cfg.epochs {
         let span = cfg.epoch;
@@ -177,6 +181,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetOutcome {
             / observations.len().max(1) as f64;
 
         // ---- the manager's serial, deterministic reaction pass --------
+        let _lend = manager.lend();
         let now = machines[0].now();
 
         // End of warm-up: calibrate the machine-local escalation triggers

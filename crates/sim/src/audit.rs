@@ -12,20 +12,29 @@
 //! discipline as [`crate::trace`].
 //!
 //! Auditing is **zero-cost when disabled**: the only work on a hot path is
-//! a single relaxed atomic load through [`enabled`], and instrumented
-//! components are expected to guard any bookkeeping behind it. Like the
-//! tracer, the auditor is a pure observer — it never schedules events and
-//! never touches any RNG, so an audited run produces byte-identical figure
+//! one thread-local read through [`enabled`], and instrumented components
+//! are expected to guard any bookkeeping behind it. Like the tracer, the
+//! auditor is a pure observer — it never schedules events and never
+//! touches any RNG, so an audited run produces byte-identical figure
 //! output to an unaudited run.
 //!
 //! # Enabling the auditor
 //!
-//! The environment-variable interface (read by [`init_from_env`], which the
-//! system model calls at construction):
+//! A machine reports to the [`Auditor`] its configuration names
+//! ([`RunConfig::auditor`](crate::run::RunConfig)); machines that share a
+//! report share one auditor through an `Arc`. Programmatic use builds one
+//! with [`Auditor::new`] from an [`AuditConfig`]. The environment-variable
+//! interface, read once per process by
+//! [`RunConfig::from_env`](crate::run::RunConfig::from_env), the default
+//! configuration of every `PardServer`:
 //!
 //! * `PARD_AUDIT=report` — record violations and keep running.
 //! * `PARD_AUDIT=strict` — panic on the first violation (CI gates).
 //! * `PARD_AUDIT_FILE=<path>` — also stream violation JSONL to `<path>`.
+//!
+//! Any other `PARD_AUDIT` value, or a `PARD_AUDIT_FILE` that cannot be
+//! created, is a hard error: the process prints a message naming the
+//! variable and exits with status 2, like every `PARD_TRACE*` knob.
 //!
 //! # The conservation ledger
 //!
@@ -49,19 +58,19 @@
 //! moved to a different thread between calls (the fleet's `par_map`),
 //! never see each other's packets — machine A's packet `(xbar, src 3,
 //! id 17)` never collides with machine B's, although both allocate packet
-//! ids from zero. Outside any lend (a harness driving a component by hand)
-//! the operations fall back to a thread-local ledger of their own.
+//! ids from zero. A harness driving a component by hand lends a
+//! [`RunState`](crate::run::RunState) of its own.
 
-use std::cell::RefCell;
 use std::fs::File;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::io::{BufWriter, Write as _};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::hash::WordMap;
+use crate::run;
 use crate::time::Time;
-use crate::trace::{format_ns, TraceVal};
+use crate::trace::{format_ns, render_fields, TraceVal};
 
 /// The invariant families a violation can belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +143,8 @@ impl AuditMode {
     }
 }
 
-/// Configuration for [`install`].
+/// Configuration for [`Auditor::new`].
+#[derive(Debug)]
 pub struct AuditConfig {
     /// Violation reaction mode.
     pub mode: AuditMode,
@@ -172,12 +182,25 @@ struct AuditState {
     total: u64,
 }
 
-/// 0 = off, 1 = report, 2 = strict. The one and only hot-path cost.
-static MODE: AtomicU8 = AtomicU8::new(0);
-static STATE: Mutex<Option<AuditState>> = Mutex::new(None);
-/// Kernel-loop deliveries made while auditing was on (the kernel adds
-/// each run call's count once, at the end of the call).
-static OBSERVED: AtomicU64 = AtomicU64::new(0);
+/// A violation report with its reaction mode. Built once from an
+/// [`AuditConfig`] and shared by the machines that report to it (see
+/// [`RunConfig`](crate::run::RunConfig)).
+pub struct Auditor {
+    mode: AuditMode,
+    state: Mutex<AuditState>,
+    /// Kernel-loop deliveries made by machines reporting here (the kernel
+    /// adds each run call's count once, at the end of the call).
+    deliveries: AtomicU64,
+}
+
+impl std::fmt::Debug for Auditor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Auditor")
+            .field("mode", &self.mode)
+            .finish_non_exhaustive()
+    }
+}
+
 /// Catch-all protocol-violation arms hit; counted even when auditing is
 /// off so release builds no longer swallow misrouted packets silently.
 static UNEXPECTED: AtomicU64 = AtomicU64::new(0);
@@ -231,7 +254,6 @@ impl Hash for PacketKey {
 /// One simulated machine's conservation state: its in-flight packets and
 /// outstanding interrupts. Part of the run state a
 /// [`Simulation`](crate::Simulation) owns and lends to the running thread.
-#[derive(Default)]
 pub(crate) struct Ledger {
     /// In-flight packets: key → the DS-id they were injected with.
     packets: WordMap<PacketKey, u16>,
@@ -241,7 +263,7 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    const EMPTY: Ledger = Ledger {
+    pub(crate) const EMPTY: Ledger = Ledger {
         packets: WordMap::with_hasher(BuildHasherDefault::new()),
         irq: WordMap::with_hasher(BuildHasherDefault::new()),
     };
@@ -255,127 +277,157 @@ impl Ledger {
     }
 }
 
-thread_local! {
-    /// The ledger the calling thread's ledger operations act on: the one
-    /// currently lent by a running simulation, or this thread's own.
-    static ACTIVE: RefCell<Ledger> = const { RefCell::new(Ledger::EMPTY) };
-}
-
-/// Swaps `ledger` with the calling thread's active one (the run-state
-/// lend, `crate::run`, calls it on entry and again on exit).
-pub(crate) fn swap_active(ledger: &mut Ledger) {
-    ACTIVE.with(|a| std::mem::swap(&mut *a.borrow_mut(), ledger));
-}
-
-/// Runs `f` against the calling thread's active ledger.
+/// Runs `f` against the ledger of the run state lent to the calling
+/// thread.
 fn with_run<R>(f: impl FnOnce(&mut Ledger) -> R) -> R {
-    ACTIVE.with(|a| f(&mut a.borrow_mut()))
+    run::with_active(|state| f(&mut state.ledger))
 }
 
-/// True when auditing is on. This is the hot-path guard: a single relaxed
-/// atomic load, so instrumented components pay nothing measurable when
-/// auditing is off.
+/// True when the calling thread's lent configuration audits. This is the
+/// hot-path guard: one thread-local read, so instrumented components pay
+/// nothing measurable when auditing is off.
 #[inline]
 pub fn enabled() -> bool {
-    MODE.load(Ordering::Relaxed) != 0
+    run::guard() & run::AUDIT_ON != 0
 }
 
-/// True when the auditor panics on the first violation.
+/// True when the lent auditor panics on the first violation.
 #[inline]
 pub fn strict() -> bool {
-    MODE.load(Ordering::Relaxed) == 2
+    run::guard() & run::AUDIT_STRICT != 0
 }
 
-/// Installs the global auditor from `config`. Replaces any previous
-/// auditor (flushing it first). Fails only if the sink file cannot be
-/// created.
-pub fn install(config: AuditConfig) -> std::io::Result<()> {
-    let sink = match &config.path {
-        Some(p) => Some(BufWriter::new(File::create(p)?)),
-        None => None,
-    };
-    let state = AuditState {
-        sink,
-        records: Vec::new(),
-        max_records: config.max_records.max(1),
-        counts: [0; KINDS],
-        total: 0,
-    };
-    let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(old) = guard.as_mut() {
-        if let Some(sink) = old.sink.as_mut() {
+impl Auditor {
+    /// Builds an auditor from `config`. Fails only if the sink file
+    /// cannot be created.
+    pub fn new(config: AuditConfig) -> std::io::Result<Auditor> {
+        let sink = match &config.path {
+            Some(p) => Some(BufWriter::new(File::create(p)?)),
+            None => None,
+        };
+        Ok(Auditor {
+            mode: config.mode,
+            state: Mutex::new(AuditState {
+                sink,
+                records: Vec::new(),
+                max_records: config.max_records.max(1),
+                counts: [0; KINDS],
+                total: 0,
+            }),
+            deliveries: AtomicU64::new(0),
+        })
+    }
+
+    /// How this auditor reacts to a violation.
+    pub fn mode(&self) -> AuditMode {
+        self.mode
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, AuditState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Records one rendered violation line: appended to the in-memory
+    /// records and the sink (flushed immediately — violations are rare
+    /// and must survive a strict abort), and counted.
+    fn record(&self, kind: AuditKind, line: &str) {
+        let mut state = self.lock();
+        state.total += 1;
+        state.counts[kind as usize] += 1;
+        if let Some(sink) = state.sink.as_mut() {
+            let _ = writeln!(sink, "{line}");
             let _ = sink.flush();
         }
+        if state.records.len() < state.max_records {
+            state.records.push(line.to_string());
+        }
     }
-    *guard = Some(state);
-    // Publish the mode only after the state is in place so a racing report
-    // never observes enabled-but-uninstalled.
-    let mode = match config.mode {
-        AuditMode::Report => 1,
-        AuditMode::Strict => 2,
-    };
-    MODE.store(mode, Ordering::Release);
-    Ok(())
+
+    /// Total violations recorded.
+    pub fn violations_total(&self) -> u64 {
+        self.lock().total
+    }
+
+    /// Violations of one kind recorded.
+    pub fn violations_by_kind(&self, kind: AuditKind) -> u64 {
+        self.lock().counts[kind as usize]
+    }
+
+    /// The first violation recorded, if any — the head of the
+    /// first-failure report.
+    pub fn first_violation(&self) -> Option<String> {
+        self.lock().records.first().cloned()
+    }
+
+    /// Kernel-loop deliveries made by the machines reporting here.
+    pub fn deliveries_observed(&self) -> u64 {
+        self.deliveries.load(Ordering::Relaxed)
+    }
+
+    /// Appends a summary line to the sink (the system model calls this
+    /// when it shuts down): total violations, per-kind counts, and the
+    /// number of kernel deliveries the auditor observed.
+    pub fn emit_summary(&self, now: Time) {
+        let mut state = self.lock();
+        let (total, counts) = (state.total, state.counts);
+        let Some(sink) = state.sink.as_mut() else {
+            return;
+        };
+        let mut line = String::with_capacity(96);
+        use std::fmt::Write as _;
+        let _ = write!(
+            line,
+            "{{\"time\":{},\"ds\":{},\"kind\":\"summary\",\"check\":\"summary\",\"total\":{},\"deliveries\":{}",
+            format_ns(now),
+            u16::MAX,
+            total,
+            self.deliveries_observed(),
+        );
+        for kind in AuditKind::ALL {
+            let _ = write!(line, ",\"{}\":{}", kind.name(), counts[kind as usize]);
+        }
+        line.push('}');
+        let _ = writeln!(sink, "{line}");
+        let _ = sink.flush();
+    }
 }
 
-/// Reads `PARD_AUDIT` / `PARD_AUDIT_FILE` and installs the auditor if
-/// `PARD_AUDIT` is set to a recognised mode.
+/// Parses the raw `PARD_AUDIT` / `PARD_AUDIT_FILE` values into an
+/// [`AuditConfig`]: `None` when `PARD_AUDIT` is unset or empty.
 ///
-/// Idempotent: only the first call in a process does anything, so every
-/// `PardServer` construction may call it unconditionally.
-pub fn init_from_env() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let Ok(mode) = std::env::var("PARD_AUDIT") else {
-            return;
-        };
-        if mode.is_empty() {
-            return;
-        }
-        let Some(mode) = AuditMode::parse(&mode) else {
-            eprintln!("PARD_AUDIT: unknown mode {mode:?} (want report|strict); auditing off");
-            return;
-        };
-        let path = std::env::var("PARD_AUDIT_FILE")
-            .ok()
-            .filter(|p| !p.is_empty())
-            .map(std::path::PathBuf::from);
-        let config = AuditConfig {
-            mode,
-            path: path.clone(),
-            ..AuditConfig::report()
-        };
-        if let Err(e) = install(config) {
-            eprintln!("PARD_AUDIT_FILE: cannot open {path:?}: {e}");
-        }
-    });
+/// Pure (no env access, no I/O) so the unit tests cover every
+/// malformed-input path. The error names the offending variable and says
+/// what would have been accepted.
+fn config_from_env(mode: Option<&str>, file: Option<&str>) -> Result<Option<AuditConfig>, String> {
+    let Some(mode) = mode.filter(|m| !m.is_empty()) else {
+        return Ok(None);
+    };
+    let mode = AuditMode::parse(mode)
+        .ok_or_else(|| format!("PARD_AUDIT: unknown mode {mode:?} (want report|strict)"))?;
+    Ok(Some(AuditConfig {
+        mode,
+        path: file.filter(|p| !p.is_empty()).map(std::path::PathBuf::from),
+        ..AuditConfig::report()
+    }))
 }
 
-/// Flushes the sink and tears the auditor down, returning the process to
-/// the zero-cost disabled state. Clears the calling thread's active ledger.
-pub fn disable() {
-    MODE.store(0, Ordering::Release);
-    let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(state) = guard.as_mut() {
-        if let Some(sink) = state.sink.as_mut() {
-            let _ = sink.flush();
-        }
-    }
-    *guard = None;
-    ACTIVE.with(|a| *a.borrow_mut() = Ledger::default());
+/// Builds the auditor that `PARD_AUDIT` / `PARD_AUDIT_FILE` (given raw)
+/// ask for. `Err` names the variable at fault, for an unknown mode or a
+/// sink file that cannot be created.
+pub(crate) fn auditor_from(
+    mode: Option<&str>,
+    file: Option<&str>,
+) -> Result<Option<Auditor>, String> {
+    let Some(config) = config_from_env(mode, file)? else {
+        return Ok(None);
+    };
+    Auditor::new(config)
+        .map(Some)
+        .map_err(|e| format!("PARD_AUDIT_FILE: cannot open {:?}: {e}", file.unwrap_or("")))
 }
 
-/// Flushes the JSONL sink (if any) without disabling auditing.
-pub fn flush() {
-    let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(state) = guard.as_mut() {
-        if let Some(sink) = state.sink.as_mut() {
-            let _ = sink.flush();
-        }
-    }
-}
-
-/// Reports one invariant violation.
+/// Reports one invariant violation to the auditor of the run state lent
+/// to the calling thread.
 ///
 /// Renders the JSONL line, appends it to the in-memory record list and the
 /// sink (flushed immediately — violations are rare and must survive a
@@ -394,38 +446,17 @@ pub fn violation(kind: AuditKind, time: Time, ds: u16, check: &str, fields: &[(&
         kind.name(),
         check
     );
-    for (key, val) in fields {
-        let _ = write!(line, ",\"{key}\":");
-        match val {
-            TraceVal::U(u) => {
-                let _ = write!(line, "{u}");
-            }
-            TraceVal::F(f) if f.is_finite() => {
-                let _ = write!(line, "{f}");
-            }
-            TraceVal::F(_) => line.push_str("null"),
-            TraceVal::S(s) => {
-                let _ = write!(line, "\"{s}\"");
-            }
-            TraceVal::B(b) => line.push_str(if *b { "true" } else { "false" }),
-        }
-    }
+    render_fields(
+        &mut line,
+        fields.iter().map(|(k, v)| (*k, v.as_store_ref())),
+    );
     line.push('}');
 
-    {
-        let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(state) = guard.as_mut() {
-            state.total += 1;
-            state.counts[kind as usize] += 1;
-            if let Some(sink) = state.sink.as_mut() {
-                let _ = writeln!(sink, "{line}");
-                let _ = sink.flush();
-            }
-            if state.records.len() < state.max_records {
-                state.records.push(line.clone());
-            }
+    run::with_active(|state| {
+        if let Some(auditor) = &state.config.auditor {
+            auditor.record(kind, &line);
         }
-    }
+    });
     if strict() {
         panic!("PARD_AUDIT=strict: invariant violation: {line}");
     }
@@ -590,16 +621,17 @@ pub fn unexpected_event(component: &'static str, kind: &'static str, time: Time,
     }
 }
 
-/// Adds `n` kernel-loop deliveries to the process count (the kernel calls
-/// this once per run call while auditing is on).
+/// Adds `n` kernel-loop deliveries to the lent auditor's count (the
+/// kernel calls this once per run call).
 #[inline]
 pub(crate) fn add_deliveries(n: u64) {
-    OBSERVED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Kernel-loop deliveries made while auditing was on, since process start.
-pub fn deliveries_observed() -> u64 {
-    OBSERVED.load(Ordering::Relaxed)
+    if enabled() {
+        run::with_active(|state| {
+            if let Some(auditor) = &state.config.auditor {
+                auditor.deliveries.fetch_add(n, Ordering::Relaxed);
+            }
+        });
+    }
 }
 
 /// Unexpected-event arms hit since process start (counted even with
@@ -608,87 +640,54 @@ pub fn unexpected_events() -> u64 {
     UNEXPECTED.load(Ordering::Relaxed)
 }
 
-/// Packets (and outstanding interrupts) currently in flight on the
-/// calling thread's active ledger: the one a running simulation lent it,
-/// or the thread's own. After a full drain this is zero; at a mid-flight
-/// run deadline it may not be, by design.
+/// Packets (and outstanding interrupts) currently in flight on the ledger
+/// of the run state lent to the calling thread. After a full drain this is
+/// zero; at a mid-flight run deadline it may not be, by design.
 pub fn in_flight() -> usize {
     with_run(|r| r.in_flight())
 }
 
-/// Total violations recorded since [`install`].
+/// Total violations recorded by the auditor the environment configured;
+/// 0 when it configured none.
 pub fn violations_total() -> u64 {
-    let guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_ref().map(|s| s.total).unwrap_or(0)
-}
-
-/// Violations of one kind recorded since [`install`].
-pub fn violations_by_kind(kind: AuditKind) -> u64 {
-    let guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_ref().map(|s| s.counts[kind as usize]).unwrap_or(0)
-}
-
-/// The recorded violation lines (capped at the configured maximum).
-pub fn records() -> Vec<String> {
-    let guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_ref().map(|s| s.records.clone()).unwrap_or_default()
-}
-
-/// The first violation recorded, if any — the head of the first-failure
-/// report.
-pub fn first_violation() -> Option<String> {
-    let guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_ref().and_then(|s| s.records.first().cloned())
-}
-
-/// Appends a summary line to the sink (the system model calls this when it
-/// shuts down): total violations, per-kind counts, and the number of
-/// kernel deliveries made while auditing was on.
-pub fn emit_summary(now: Time) {
-    if !enabled() {
-        return;
-    }
-    let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(state) = guard.as_mut() else {
-        return;
-    };
-    let Some(sink) = state.sink.as_mut() else {
-        return;
-    };
-    let mut line = String::with_capacity(96);
-    use std::fmt::Write as _;
-    let _ = write!(
-        line,
-        "{{\"time\":{},\"ds\":{},\"kind\":\"summary\",\"check\":\"summary\",\"total\":{},\"deliveries\":{}",
-        format_ns(now),
-        u16::MAX,
-        state.total,
-        OBSERVED.load(Ordering::Relaxed),
-    );
-    for kind in AuditKind::ALL {
-        let _ = write!(line, ",\"{}\":{}", kind.name(), state.counts[kind as usize]);
-    }
-    line.push('}');
-    let _ = writeln!(sink, "{line}");
-    let _ = sink.flush();
+    run::ENV
+        .get()
+        .and_then(|c| c.auditor.as_ref())
+        .map_or(0, |a| a.violations_total())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{lend, RunState};
+    use crate::run::{RunConfig, RunState};
+    use std::sync::Arc;
 
-    // The auditor is process-global, so every test that installs it runs
-    // inside this single test function to avoid cross-test interference.
+    fn auditor(config: AuditConfig) -> Arc<Auditor> {
+        Arc::new(Auditor::new(config).unwrap())
+    }
+
+    fn run_state(auditor: &Arc<Auditor>) -> RunState {
+        RunState::new(RunConfig {
+            auditor: Some(auditor.clone()),
+            ..RunConfig::default()
+        })
+    }
+
     #[test]
-    fn install_report_ledger_strict_disable_lifecycle() {
-        assert!(!enabled(), "auditing must start disabled");
+    fn nothing_is_audited_outside_a_lend() {
+        let a = auditor(AuditConfig::report());
+        assert!(!enabled(), "no run state is lent");
         violation(AuditKind::Quota, Time::from_ns(1), 0, "noop", &[]);
-        assert_eq!(violations_total(), 0);
+        assert_eq!(a.violations_total(), 0);
         packet_inject(Domain::Xbar, 1, 0, 3, Time::ZERO);
         assert_eq!(in_flight(), 0, "ledger must ignore ops while disabled");
+    }
 
-        install(AuditConfig::report()).unwrap();
+    #[test]
+    fn report_mode_records_violations_and_keeps_the_ledger() {
+        let a = auditor(AuditConfig::report());
+        let mut state = run_state(&a);
+        let _lend = state.lend();
         assert!(enabled());
         assert!(!strict());
 
@@ -700,10 +699,10 @@ mod tests {
             "fill_outside_mask",
             &[("way", TraceVal::U(7)), ("hot", TraceVal::B(true))],
         );
-        assert_eq!(violations_total(), 1);
-        assert_eq!(violations_by_kind(AuditKind::Waymask), 1);
+        assert_eq!(a.violations_total(), 1);
+        assert_eq!(a.violations_by_kind(AuditKind::Waymask), 1);
         assert_eq!(
-            first_violation().unwrap(),
+            a.first_violation().unwrap(),
             "{\"time\":2.25,\"ds\":3,\"kind\":\"waymask\",\"check\":\"fill_outside_mask\",\"way\":7,\"hot\":true}"
         );
 
@@ -713,28 +712,28 @@ mod tests {
         packet_hop(Domain::Xbar, 1, 0, 3, Time::from_ns(1), "bridge");
         packet_retire(Domain::Xbar, 1, 0, 3, Time::from_ns(2), "llc");
         assert_eq!(in_flight(), 0);
-        assert_eq!(violations_by_kind(AuditKind::DsPreservation), 0);
+        assert_eq!(a.violations_by_kind(AuditKind::DsPreservation), 0);
 
         // Duplicate injection is a conservation violation.
         packet_inject(Domain::Xbar, 1, 7, 3, Time::ZERO);
         packet_inject(Domain::Xbar, 1, 7, 3, Time::ZERO);
-        assert_eq!(violations_by_kind(AuditKind::Conservation), 1);
+        assert_eq!(a.violations_by_kind(AuditKind::Conservation), 1);
 
         // A DS-id mutation observed at a hop or at retirement is flagged.
         packet_hop(Domain::Xbar, 1, 7, 4, Time::from_ns(1), "bridge");
         packet_retire(Domain::Xbar, 1, 7, 5, Time::from_ns(2), "llc");
-        assert_eq!(violations_by_kind(AuditKind::DsPreservation), 2);
+        assert_eq!(a.violations_by_kind(AuditKind::DsPreservation), 2);
 
         // Unknown packets are ignored (partially instrumented harnesses).
         packet_retire(Domain::Dma, 9, 100, 0, Time::ZERO, "memctrl");
         packet_hop(Domain::Dma, 9, 100, 0, Time::ZERO, "bridge");
-        assert_eq!(violations_by_kind(AuditKind::DsPreservation), 2);
+        assert_eq!(a.violations_by_kind(AuditKind::DsPreservation), 2);
 
         // Accounted drops retire silently.
         packet_inject(Domain::Dma, 2, 0, 1, Time::ZERO);
         packet_drop(Domain::Dma, 2, 0);
         assert_eq!(in_flight(), 0);
-        assert_eq!(violations_total(), 4);
+        assert_eq!(a.violations_total(), 4);
 
         // Interrupt multiset: inject/settle balances; an unmatched settle
         // is a conservation violation.
@@ -743,42 +742,44 @@ mod tests {
         irq_settle(14, 1, Time::from_ns(3), "routed");
         assert_eq!(in_flight(), 0);
         irq_settle(11, 0, Time::from_ns(4), "dropped");
-        assert_eq!(violations_by_kind(AuditKind::Conservation), 2);
+        assert_eq!(a.violations_by_kind(AuditKind::Conservation), 2);
 
         // Unexpected events are conservation violations while enabled.
         unexpected_event("nic", "mem_req", Time::from_ns(5), 2);
-        assert_eq!(violations_by_kind(AuditKind::Conservation), 3);
+        assert_eq!(a.violations_by_kind(AuditKind::Conservation), 3);
         assert!(unexpected_events() >= 1);
+        assert_eq!(a.violations_total(), 6);
+    }
 
-        // Lent ledgers: two machines injecting the same (domain, src, id)
-        // key do not collide, a lend shadows the thread's own ledger and
-        // nests, and dropping the guard hands each ledger back intact.
-        let ambient = in_flight();
-        let before = violations_total();
-        let (mut a, mut b) = (RunState::default(), RunState::default());
+    #[test]
+    fn lent_ledgers_stay_apart_and_move_between_threads() {
+        // Two machines injecting the same (domain, src, id) key do not
+        // collide, a lend nests, and dropping the guard hands each ledger
+        // back intact.
+        let auditor = auditor(AuditConfig::report());
+        let (mut a, mut b) = (run_state(&auditor), run_state(&auditor));
         {
-            let _a = lend(&mut a);
-            assert_eq!(in_flight(), 0, "a lent ledger shadows the thread's own");
+            let _a = a.lend();
             packet_inject(Domain::Xbar, 1, 40, 3, Time::ZERO);
             {
-                let _b = lend(&mut b);
+                let _b = b.lend();
                 packet_inject(Domain::Xbar, 1, 40, 5, Time::ZERO);
                 assert_eq!(in_flight(), 1);
             }
             assert_eq!(in_flight(), 1, "the outer lend is restored");
         }
-        assert_eq!(in_flight(), ambient);
+        assert_eq!(in_flight(), 0);
         assert_eq!((a.ledger.in_flight(), b.ledger.in_flight()), (1, 1));
         assert_eq!(
-            violations_total(),
-            before,
+            auditor.violations_total(),
+            0,
             "identical keys in different ledgers are distinct packets"
         );
         // A ledger moved to another thread keeps its entries and DS tags.
         let b = std::thread::spawn(move || {
             let mut b = b;
             {
-                let _b = lend(&mut b);
+                let _b = b.lend();
                 packet_retire(Domain::Xbar, 1, 40, 7, Time::from_ns(1), "llc");
             }
             b
@@ -787,35 +788,73 @@ mod tests {
         .unwrap();
         assert_eq!(b.ledger.in_flight(), 0);
         assert_eq!(
-            violations_total(),
-            before + 1,
+            auditor.violations_total(),
+            1,
             "the moved ledger kept its DS tag"
         );
 
-        // Strict mode panics on the first violation, after recording it.
-        install(AuditConfig::strict()).unwrap();
-        assert!(strict());
-        let panicked = std::panic::catch_unwind(|| {
+        // Two machines on one thread report to their own auditors.
+        let other = self::auditor(AuditConfig::report());
+        let mut c = run_state(&other);
+        {
+            let _c = c.lend();
+            violation(AuditKind::Quota, Time::ZERO, 0, "over", &[]);
+        }
+        assert_eq!((auditor.violations_total(), other.violations_total()), (1, 1));
+    }
+
+    #[test]
+    fn strict_mode_panics_after_recording_and_the_lend_unwinds() {
+        let a = auditor(AuditConfig::strict());
+        let mut state = run_state(&a);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _lend = state.lend();
+            assert!(strict());
             violation(AuditKind::Clock, Time::ZERO, 0, "past_event", &[]);
-        });
+        }));
         assert!(panicked.is_err(), "strict mode must panic");
-        assert_eq!(violations_total(), 1);
+        assert_eq!(a.violations_total(), 1);
         // A strict abort inside a lend hands the ledger back rather than
         // leaking it into the thread.
-        let mut c = RunState::default();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _c = lend(&mut c);
+            let _lend = state.lend();
             packet_inject(Domain::Dma, 4, 50, 2, Time::ZERO);
             packet_inject(Domain::Dma, 4, 50, 2, Time::ZERO);
         }));
         assert!(panicked.is_err(), "a duplicate injection aborts");
-        assert_eq!(c.ledger.in_flight(), 1, "the unwinding lend returned the ledger");
-        assert_eq!(in_flight(), ambient, "and left the thread's own in place");
+        assert_eq!(state.ledger.in_flight(), 1, "the unwinding lend returned the ledger");
+        assert!(!enabled(), "and left nothing lent to the thread");
+        assert_eq!(in_flight(), 0);
+    }
 
-        disable();
-        assert!(!enabled());
-        assert_eq!(violations_total(), 0);
-        assert!(first_violation().is_none());
+    // config_from_env is pure, so the hard-error contract is testable
+    // without touching the process environment.
+    #[test]
+    fn env_config_accepts_the_documented_surface() {
+        assert!(config_from_env(None, Some("a.jsonl")).unwrap().is_none());
+        assert!(config_from_env(Some(""), None).unwrap().is_none());
+        let c = config_from_env(Some("strict"), Some("a.jsonl")).unwrap().unwrap();
+        assert_eq!(c.mode, AuditMode::Strict);
+        assert_eq!(c.path.as_deref(), Some(std::path::Path::new("a.jsonl")));
+        let c = config_from_env(Some("report"), Some("")).unwrap().unwrap();
+        assert_eq!(c.mode, AuditMode::Report);
+        assert!(c.path.is_none());
+    }
+
+    #[test]
+    fn env_config_rejects_malformed_values_naming_the_variable() {
+        for mode in ["strcit", "STRICT", "on"] {
+            let err = config_from_env(Some(mode), None).expect_err("unknown mode");
+            assert!(err.starts_with("PARD_AUDIT: "), "{err:?} must name PARD_AUDIT");
+        }
+        let err = auditor_from(Some("typo"), Some("a.jsonl")).expect_err("unknown mode");
+        assert!(err.starts_with("PARD_AUDIT: "), "{err:?}");
+        let missing = std::env::temp_dir()
+            .join(format!("pard-audit-missing-{}", std::process::id()))
+            .join("audit.jsonl");
+        let err = auditor_from(Some("report"), missing.to_str())
+            .expect_err("a sink in a missing directory cannot be created");
+        assert!(err.starts_with("PARD_AUDIT_FILE: "), "{err:?} must name PARD_AUDIT_FILE");
     }
 
     #[test]

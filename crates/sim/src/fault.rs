@@ -7,8 +7,9 @@
 //! Exercising that loop needs faults, and faults in a deterministic
 //! simulator must themselves be deterministic. This module provides the
 //! schedule: a [`FaultPlan`] — a seed plus a list of [`FaultEvent`]
-//! windows — installed process-globally like the trace and audit
-//! configuration.
+//! windows — that each simulated machine carries in its configuration
+//! ([`RunConfig::faults`](crate::run::RunConfig)), next to its tracer and
+//! auditor.
 //!
 //! # Fault taxonomy
 //!
@@ -32,42 +33,34 @@
 //!
 //! # Determinism contract
 //!
-//! All injection decisions are pure functions of the installed plan, the
+//! All injection decisions are pure functions of the machine's plan, the
 //! query arguments (simulated time, bank, port) and a per-machine
-//! decision state: a snapshot of the plan, the NIC loss RNG (seeded from
-//! [`FaultPlan::seed`] via [`stream_rng`]) and the IDE drop counter. The
-//! decision state belongs to the simulated machine: it is part of the run
-//! state its [`Simulation`](crate::Simulation) lends to whichever thread
-//! runs it (`crate::run`). A machine's decision sequence therefore
-//! depends only on its own event order — not on which worker thread runs
-//! which machine under any `PARD_THREADS`, nor on other machines
-//! interleaved on the same thread. A fresh machine starts a fresh
-//! sequence, and every [`install`] / [`disable`] restarts every machine's
-//! sequence on its next query. Queries outside any machine (unit tests
-//! driving components by hand) use the calling thread's own state.
+//! decision state: the NIC loss RNG (seeded from [`FaultPlan::seed`] via
+//! [`stream_rng`]) and the IDE drop counter. The plan and the decision
+//! state belong to the simulated machine: they are part of the run state
+//! its [`Simulation`](crate::Simulation) lends to whichever thread runs
+//! it (`crate::run`). A machine's decision sequence therefore depends
+//! only on its own event order — not on which worker thread runs which
+//! machine under any `PARD_THREADS`, nor on other machines interleaved on
+//! the same thread. A fresh machine starts a fresh sequence. Queries
+//! outside any lend see no plan.
 //!
 //! # Cost when disabled
 //!
 //! Same pattern as [`trace`](crate::trace) and [`audit`](crate::audit):
-//! a single relaxed atomic load ([`enabled`]) guards every hot path. No
-//! plan — or an empty plan — publishes a zero mask, and every simulation
-//! byte-identically matches an un-faulted build. A query behind the guard
-//! reads the machine's plan snapshot; it takes the plan lock only on the
-//! first query after an [`install`] / [`disable`].
+//! one thread-local read of the lent guard word ([`enabled`]) guards
+//! every hot path. No plan — or an empty plan — sets no class bit, and
+//! every simulation byte-identically matches an un-faulted build.
 //!
 //! The JSON spec format for fault plans (the `PARD_FAULT_PLAN`
 //! environment contract) is parsed by `pard-bench::fault_spec`, which
 //! depends on this crate — the simulator core stays dependency-free.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
 use crate::rng::{stream_rng, Rng, Xoshiro256pp};
+use crate::run;
 use crate::time::Time;
 
-/// The four injectable fault classes, one bit each in the global guard
-/// mask.
+/// The four injectable fault classes, one bit each in the guard word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// DRAM bank slowdowns / transient stalls.
@@ -180,7 +173,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Creates an empty plan (installing it is byte-identical to no
+    /// Creates an empty plan (running under it is byte-identical to no
     /// plan).
     pub fn new(seed: u64) -> Self {
         FaultPlan {
@@ -203,113 +196,42 @@ impl FaultPlan {
     }
 }
 
-/// Bitmask of fault classes with at least one scheduled event. Zero
-/// (the default) short-circuits every hot-path query to a single
-/// relaxed load.
-static ACTIVE: AtomicU32 = AtomicU32::new(0);
-
-/// The installed plan. Plain `Mutex` (not `OnceLock`) so tests can
-/// install/disable repeatedly; machines query their own snapshot of it.
-static PLAN: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
-
-/// Counts [`install`] / [`disable`] calls, so a machine's decision state
-/// can tell that its plan snapshot is stale.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-
 /// One machine's fault decision state. Part of the lent run state
 /// (`crate::run`); see the module-level determinism contract.
-#[derive(Default)]
 pub(crate) struct Decisions {
-    /// The [`GENERATION`] the snapshot was taken at; 0 = none yet.
-    generation: u64,
-    /// The plan installed at `generation`.
-    plan: Option<Arc<FaultPlan>>,
     /// Seeded from the plan on first use.
     nic_rng: Option<Xoshiro256pp>,
     /// Requests considered by the IDE drop decider so far.
     ide_considered: u64,
 }
 
-thread_local! {
-    /// The decision state the calling thread's queries act on: the lent
-    /// machine's, or the thread's own.
-    static ACTIVE_RUN: RefCell<Decisions> = const {
-        RefCell::new(Decisions {
-            generation: 0,
-            plan: None,
-            nic_rng: None,
-            ide_considered: 0,
-        })
+impl Decisions {
+    pub(crate) const EMPTY: Decisions = Decisions {
+        nic_rng: None,
+        ide_considered: 0,
     };
 }
 
-/// Swaps `decisions` with the calling thread's active decision state.
-pub(crate) fn swap_active(decisions: &mut Decisions) {
-    ACTIVE_RUN.with(|a| std::mem::swap(&mut *a.borrow_mut(), decisions));
-}
-
-/// Runs `f` on the active decision state, first restarting it from the
-/// installed plan if that changed since the state's snapshot.
-fn with_decisions<R>(f: impl FnOnce(&mut Decisions) -> R) -> R {
-    ACTIVE_RUN.with(|a| {
-        let mut d = a.borrow_mut();
-        let generation = GENERATION.load(Ordering::Acquire);
-        if d.generation != generation {
-            *d = Decisions {
-                generation,
-                plan: lock_plan().clone(),
-                ..Decisions::default()
-            };
-        }
-        f(&mut d)
+/// Runs `f` on the lent machine's plan events (empty without a plan) and
+/// decision state.
+fn with_decisions<R>(f: impl FnOnce(&[FaultEvent], &mut Decisions) -> R) -> R {
+    run::with_active(|state| {
+        let events = state.config.faults.as_ref().map_or(&[][..], |p| &p.events);
+        f(events, &mut state.faults)
     })
 }
 
-/// The active plan snapshot's events (empty when no plan is installed).
+/// The lent machine's plan events (empty without a plan).
 fn with_events<R>(f: impl FnOnce(&[FaultEvent]) -> R) -> R {
-    with_decisions(|d| f(d.plan.as_ref().map_or(&[], |p| &p.events)))
+    with_decisions(|events, _| f(events))
 }
 
-fn lock_plan() -> std::sync::MutexGuard<'static, Option<Arc<FaultPlan>>> {
-    PLAN.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Whether any event of `class` is scheduled — one relaxed atomic load,
-/// the only cost fault injection adds to an un-faulted simulation.
+/// Whether the lent machine's plan schedules any event of `class` — one
+/// thread-local read, the only cost fault injection adds to an
+/// un-faulted simulation.
 #[inline]
 pub fn enabled(class: FaultClass) -> bool {
-    ACTIVE.load(Ordering::Relaxed) & class.bit() != 0
-}
-
-/// Whether a plan is installed (possibly an empty one).
-pub fn installed() -> bool {
-    lock_plan().is_some()
-}
-
-/// Whether any fault class is scheduled.
-#[inline]
-pub(crate) fn on() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0
-}
-
-/// Installs `plan` process-globally and publishes its class mask.
-///
-/// An empty plan publishes a zero mask: every [`enabled`] query stays
-/// false and the simulation is byte-identical to an un-faulted run.
-pub fn install(plan: FaultPlan) {
-    let mask = plan.class_mask();
-    let mut guard = lock_plan();
-    *guard = Some(Arc::new(plan));
-    GENERATION.fetch_add(1, Ordering::Release);
-    ACTIVE.store(mask, Ordering::Release);
-}
-
-/// Removes the installed plan and clears the guard mask.
-pub fn disable() {
-    let mut guard = lock_plan();
-    ACTIVE.store(0, Ordering::Release);
-    *guard = None;
-    GENERATION.fetch_add(1, Ordering::Release);
+    run::guard() & (class.bit() << run::FAULT_SHIFT) != 0
 }
 
 /// Extra DRAM service latency for an access to flat-indexed `bank` at
@@ -350,8 +272,7 @@ pub fn ide_quota_pct(now: Time) -> u32 {
 /// counter advances only while a drop window is active, and every
 /// `drop_one_in`-th consideration drops.
 pub fn ide_should_drop(now: Time) -> bool {
-    with_decisions(|d| {
-        let events = d.plan.as_ref().map_or(&[][..], |p| &p.events);
+    with_decisions(|events, d| {
         let divisor = events
             .iter()
             .filter_map(|e| match e.kind {
@@ -376,8 +297,8 @@ pub fn ide_should_drop(now: Time) -> bool {
 /// consumed only while a flap window is active, so runs without flap
 /// traffic stay byte-identical.
 pub fn nic_frame_lost(now: Time) -> bool {
-    with_decisions(|d| {
-        let Some(plan) = d.plan.as_ref() else {
+    run::with_active(|state| {
+        let Some(plan) = state.config.faults.as_ref() else {
             return false;
         };
         let loss = plan
@@ -392,7 +313,8 @@ pub fn nic_frame_lost(now: Time) -> bool {
             return false;
         };
         let seed = plan.seed;
-        let rng = d
+        let rng = state
+            .faults
             .nic_rng
             .get_or_insert_with(|| stream_rng(seed, "fault.nic"));
         rng.gen_range(0u32..100) < loss_pct
@@ -419,150 +341,166 @@ pub fn xbar_extra_delay(port: u32, now: Time) -> Time {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{lend, RunState};
+    use crate::run::{RunConfig, RunState};
+    use std::sync::Arc;
 
-    /// Process-global state: everything in one test function (same
-    /// discipline as the trace and audit suites) so parallel test
-    /// threads cannot race on the installed plan.
-    #[test]
-    fn fault_global_state_lifecycle() {
-        // Nothing installed: every class disabled, queries inert.
-        assert!(!installed());
-        for c in [
-            FaultClass::Dram,
-            FaultClass::Ide,
-            FaultClass::Nic,
-            FaultClass::Xbar,
-        ] {
-            assert!(!enabled(c));
-        }
-        assert_eq!(dram_extra_delay(0, Time::from_us(5)), Time::ZERO);
-        assert_eq!(ide_quota_pct(Time::from_us(5)), 100);
-        assert!(!ide_should_drop(Time::from_us(5)));
-        assert!(!nic_frame_lost(Time::from_us(5)));
-        assert_eq!(xbar_extra_delay(0, Time::from_us(5)), Time::ZERO);
+    const CLASSES: [FaultClass; 4] = [
+        FaultClass::Dram,
+        FaultClass::Ide,
+        FaultClass::Nic,
+        FaultClass::Xbar,
+    ];
 
-        // An empty plan publishes a zero mask.
-        install(FaultPlan::new(7));
-        assert!(installed());
-        assert!(!enabled(FaultClass::Dram));
+    fn machine(plan: &FaultPlan) -> RunState {
+        RunState::new(RunConfig {
+            faults: Some(Arc::new(plan.clone())),
+            ..RunConfig::default()
+        })
+    }
 
-        // A populated plan enables exactly the scheduled classes.
-        let plan = FaultPlan::new(42)
+    /// Every class, over 10–20 µs.
+    fn plan() -> FaultPlan {
+        let (start, end) = (Time::from_us(10), Time::from_us(20));
+        FaultPlan::new(42)
             .with(
-                Time::from_us(10),
-                Time::from_us(20),
+                start,
+                end,
                 FaultKind::DramSlow {
                     banks: Some(vec![1, 3]),
                     extra: Time::from_ns(100),
                 },
             )
             .with(
-                Time::from_us(10),
-                Time::from_us(20),
+                start,
+                end,
                 FaultKind::DramSlow {
                     banks: None,
                     extra: Time::from_ns(50),
                 },
             )
             .with(
-                Time::from_us(10),
-                Time::from_us(20),
+                start,
+                end,
                 FaultKind::IdeDegrade {
                     quota_pct: 40,
                     drop_one_in: 2,
                 },
             )
+            .with(start, end, FaultKind::NicFlap { loss_pct: 50 })
             .with(
-                Time::from_us(10),
-                Time::from_us(20),
-                FaultKind::NicFlap { loss_pct: 50 },
-            )
-            .with(
-                Time::from_us(10),
-                Time::from_us(20),
+                start,
+                end,
                 FaultKind::XbarBackpressure {
                     port: Some(9),
                     extra: Time::from_ns(30),
                 },
-            );
-        install(plan.clone());
-        assert_eq!(ACTIVE.load(Ordering::Relaxed), 0b1111);
-        assert!(enabled(FaultClass::Dram));
-        assert!(enabled(FaultClass::Ide));
-        assert!(enabled(FaultClass::Nic));
-        assert!(enabled(FaultClass::Xbar));
+            )
+    }
+
+    const INSIDE: Time = Time::from_us(15);
+    const OUTSIDE: Time = Time::from_us(20);
+
+    #[test]
+    fn queries_are_inert_without_a_plan() {
+        // Outside any lend, and lent a plan without events.
+        for mut state in [None, Some(machine(&FaultPlan::new(7)))] {
+            let _lend = state.as_mut().map(RunState::lend);
+            assert!(CLASSES.iter().all(|&c| !enabled(c)));
+            assert_eq!(dram_extra_delay(0, INSIDE), Time::ZERO);
+            assert_eq!(ide_quota_pct(INSIDE), 100);
+            assert!(!ide_should_drop(INSIDE));
+            assert!(!nic_frame_lost(INSIDE));
+            assert_eq!(xbar_extra_delay(0, INSIDE), Time::ZERO);
+        }
+    }
+
+    #[test]
+    fn windows_apply_their_kind_while_active() {
+        let mut state = machine(&plan());
+        let _lend = state.lend();
+        // A populated plan enables exactly the scheduled classes.
+        assert!(CLASSES.iter().all(|&c| enabled(c)));
+        assert_eq!(plan().class_mask(), 0b1111);
 
         // Windows: inactive before start and at/after end (half-open).
-        let inside = Time::from_us(15);
-        let outside = Time::from_us(20);
-        assert_eq!(dram_extra_delay(1, outside), Time::ZERO);
+        assert_eq!(dram_extra_delay(1, OUTSIDE), Time::ZERO);
         // Bank 1 matches both the targeted and the all-banks window.
-        assert_eq!(dram_extra_delay(1, inside), Time::from_ns(150));
+        assert_eq!(dram_extra_delay(1, INSIDE), Time::from_ns(150));
         // Bank 2 matches only the all-banks window.
-        assert_eq!(dram_extra_delay(2, inside), Time::from_ns(50));
+        assert_eq!(dram_extra_delay(2, INSIDE), Time::from_ns(50));
 
-        assert_eq!(ide_quota_pct(inside), 40);
-        assert_eq!(ide_quota_pct(outside), 100);
+        assert_eq!(ide_quota_pct(INSIDE), 40);
+        assert_eq!(ide_quota_pct(OUTSIDE), 100);
 
-        assert_eq!(xbar_extra_delay(9, inside), Time::from_ns(30));
-        assert_eq!(xbar_extra_delay(8, inside), Time::ZERO);
+        assert_eq!(xbar_extra_delay(9, INSIDE), Time::from_ns(30));
+        assert_eq!(xbar_extra_delay(8, INSIDE), Time::ZERO);
 
-        // Drop decisions: every 2nd consideration inside the window,
-        // none outside. Each machine counts on its own lent state, so two
-        // machines interleaved on one thread, or one moved to another
-        // thread, each see the solo sequence.
+        // Class helpers round-trip.
+        assert_eq!(FaultClass::Dram.name(), "dram_slow");
+        assert_eq!(plan().events[2].kind.class(), FaultClass::Ide);
+    }
+
+    #[test]
+    fn each_machine_counts_its_own_drop_decisions() {
+        // Every 2nd consideration inside the window drops, none outside.
+        // Each machine counts on its own lent state, so two machines
+        // interleaved on one thread, or one moved to another thread,
+        // each see the solo sequence.
         fn drops(state: &mut RunState, now: Time, n: usize) -> Vec<bool> {
-            let _lend = lend(state);
+            let _lend = state.lend();
             (0..n).map(|_| ide_should_drop(now)).collect()
         }
-        let (mut a, mut b) = (RunState::default(), RunState::default());
-        assert_eq!(drops(&mut a, inside, 3), vec![false, true, false]);
-        assert_eq!(drops(&mut b, inside, 3), vec![false, true, false]);
-        assert!(drops(&mut a, outside, 2).iter().all(|d| !d));
-        assert_eq!(drops(&mut a, inside, 3), vec![true, false, true]);
+        let (mut a, mut b) = (machine(&plan()), machine(&plan()));
+        assert_eq!(drops(&mut a, INSIDE, 3), vec![false, true, false]);
+        assert_eq!(drops(&mut b, INSIDE, 3), vec![false, true, false]);
+        assert!(drops(&mut a, OUTSIDE, 2).iter().all(|d| !d));
+        assert_eq!(drops(&mut a, INSIDE, 3), vec![true, false, true]);
         let b = std::thread::spawn(move || {
             let mut b = b;
-            assert_eq!(drops(&mut b, inside, 3), vec![true, false, true]);
+            assert_eq!(drops(&mut b, INSIDE, 3), vec![true, false, true]);
             b
         })
         .join()
         .unwrap();
         assert_eq!(b.faults.ide_considered, 6);
-        // The thread's own state outside any lend; re-installing the plan
-        // restarts it.
-        let own: Vec<bool> = (0..3).map(|_| ide_should_drop(inside)).collect();
-        assert_eq!(own, vec![false, true, false]);
-        install(plan.clone());
-        assert!(!ide_should_drop(inside), "install restarts the sequence");
+        // A fresh machine starts a fresh sequence.
+        assert_eq!(
+            drops(&mut machine(&plan()), INSIDE, 3),
+            vec![false, true, false]
+        );
+    }
 
-        // Frame loss draws from the machine's own plan-seeded stream, and
-        // out-of-window frames pass without consuming it.
+    #[test]
+    fn frame_loss_draws_from_each_machines_own_stream() {
+        // Out-of-window frames pass without consuming the stream.
         fn losses(state: &mut RunState, now: Time, n: usize) -> Vec<bool> {
-            let _lend = lend(state);
+            let _lend = state.lend();
             (0..n).map(|_| nic_frame_lost(now)).collect()
         }
-        let solo = losses(&mut RunState::default(), inside, 32);
+        let solo = losses(&mut machine(&plan()), INSIDE, 32);
         assert!(solo.contains(&true) && solo.contains(&false), "{solo:?}");
-        let (mut a, mut b) = (RunState::default(), RunState::default());
-        assert!(losses(&mut b, outside, 4).iter().all(|l| !l));
+        let (mut a, mut b) = (machine(&plan()), machine(&plan()));
+        assert!(losses(&mut b, OUTSIDE, 4).iter().all(|l| !l));
         let mut interleaved = (Vec::new(), Vec::new());
         for _ in 0..4 {
-            interleaved.0.extend(losses(&mut a, inside, 8));
-            interleaved.1.extend(losses(&mut b, inside, 8));
+            interleaved.0.extend(losses(&mut a, INSIDE, 8));
+            interleaved.1.extend(losses(&mut b, INSIDE, 8));
         }
         assert_eq!(interleaved.0, solo);
         assert_eq!(interleaved.1, solo);
+    }
 
-        // Class helpers round-trip.
-        assert_eq!(FaultClass::Dram.name(), "dram_slow");
-        assert_eq!(
-            plan.events[2].kind.class(),
-            FaultClass::Ide
-        );
-
-        disable();
-        assert!(!installed());
-        assert!(!enabled(FaultClass::Nic));
+    #[test]
+    fn a_faulted_and_a_bare_machine_share_a_thread() {
+        let mut faulted = machine(&plan());
+        let mut bare = RunState::new(RunConfig::default());
+        let _f = faulted.lend();
+        assert!(enabled(FaultClass::Dram));
+        {
+            let _b = bare.lend();
+            assert!(!enabled(FaultClass::Dram), "the bare lend shadows the plan");
+            assert_eq!(dram_extra_delay(1, INSIDE), Time::ZERO);
+        }
+        assert_eq!(dram_extra_delay(1, INSIDE), Time::from_ns(150));
     }
 }

@@ -10,9 +10,9 @@
 use crate::audit;
 use crate::component::{Component, ComponentId};
 use crate::event::{EventQueue, ScheduledEvent};
-use crate::run::{self, RunState};
+use crate::run::{Lend, RunConfig, RunState};
 use crate::time::Time;
-use crate::trace::{self, TraceVal};
+use crate::trace::TraceVal;
 
 /// The scheduling context handed to a component while it handles an event.
 ///
@@ -67,16 +67,16 @@ impl<E> Ctx<'_, E> {
 /// A complete simulated machine: a registry of components, the event loop
 /// that drives them, and the machine's run state.
 ///
-/// The run state — the conservation ledger ([`audit`]), the trace sample
-/// countdowns ([`trace`]) and the fault decision state
+/// The run state — the machine's [`RunConfig`] (tracer, auditor, fault
+/// plan), its conservation ledger ([`audit`]), trace sample countdowns
+/// ([`trace`](crate::trace)) and fault decision state
 /// ([`fault`](crate::fault)) — belongs to the machine, not to a thread:
 /// [`run`](Simulation::run), [`run_until`](Simulation::run_until),
 /// [`step`](Simulation::step) and
 /// [`with_component`](Simulation::with_component) lend it to the calling
-/// thread for the length of the call (only while auditing, tracing or
-/// fault injection is on), so a machine's audit, trace and fault
-/// decisions stay its own however machines are interleaved on, or moved
-/// between, threads.
+/// thread for the length of the call (see [`crate::run`]), so a machine's
+/// audit, trace and fault decisions stay its own however machines are
+/// interleaved on, or moved between, threads.
 ///
 /// See the [crate-level documentation](crate) for a full example.
 pub struct Simulation<E> {
@@ -97,13 +97,10 @@ struct Kernel<E> {
     /// `Send` because whole machines move between `par_map` worker
     /// threads.
     event_hook: Option<Box<dyn FnMut(Time, ComponentId, &E) + Send>>,
-    /// The hook sees one delivery in `hook_every`; `hook_left` more are
-    /// skipped before the next one it sees. Re-read from the tracer at
-    /// every run call and restarted when the tracer's generation
-    /// (`hook_generation`) changes.
+    /// The hook sees one delivery in `hook_every` (fixed by the machine's
+    /// tracer); `hook_left` more are skipped before the next one it sees.
     hook_every: u32,
     hook_left: u32,
-    hook_generation: u32,
     /// `(time, seq)` of the last delivered event; the invariant auditor
     /// checks lexicographic pop order against it. Only touched when
     /// auditing is on.
@@ -116,8 +113,15 @@ struct Kernel<E> {
 const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
 impl<E: 'static> Simulation<E> {
-    /// Creates an empty simulation at time zero.
+    /// Creates an empty, unobserved simulation at time zero.
     pub fn new() -> Self {
+        Self::with_config(RunConfig::default())
+    }
+
+    /// Creates an empty simulation at time zero that traces, audits and
+    /// injects faults as `config` says.
+    pub fn with_config(config: RunConfig) -> Self {
+        let hook_every = config.tracer.as_ref().map_or(1, |t| t.kernel_every());
         Simulation {
             kernel: Kernel {
                 components: Vec::new(),
@@ -126,13 +130,26 @@ impl<E: 'static> Simulation<E> {
                 stop_requested: false,
                 events_processed: 0,
                 event_hook: None,
-                hook_every: 1,
+                hook_every,
                 hook_left: 0,
-                hook_generation: 0,
                 audit_last: None,
             },
-            run: RunState::default(),
+            run: RunState::new(config),
         }
+    }
+
+    /// The machine's observation and fault configuration.
+    pub fn run_config(&self) -> &RunConfig {
+        &self.run.config
+    }
+
+    /// Lends the machine's run state to the calling thread until the
+    /// returned guard drops, for harness code that makes the machine's
+    /// parts emit outside a kernel call (firmware actions, metrics
+    /// snapshots): their trace events, violations and fault decisions
+    /// then reach this machine's configuration.
+    pub fn lend(&mut self) -> Lend<'_> {
+        self.run.lend()
     }
 
     /// Installs an observer called for delivered events, before the
@@ -145,7 +162,7 @@ impl<E: 'static> Simulation<E> {
     /// ([`crate::trace`]), so the kernel shows it the deliveries that
     /// category keeps: while the kernel category is traced 1-in-N without
     /// a DS-id filter, every N-th delivery of this machine (counting from
-    /// its first after the tracer was installed); otherwise every
+    /// its first); otherwise every
     /// delivery, which is what harnesses counting events see with tracing
     /// off. Sampled-out deliveries cost a counter decrement; with no hook
     /// installed the cost is a single branch.
@@ -192,7 +209,7 @@ impl<E: 'static> Simulation<E> {
     where
         F: FnOnce(&mut T) -> R,
     {
-        let _lend = run::lend(&mut self.run);
+        let _lend = self.run.lend();
         let slot = self
             .kernel
             .components
@@ -223,24 +240,12 @@ impl<E: 'static> Simulation<E> {
     }
 
     /// Runs `f` on the event loop with the run state lent to this thread,
-    /// the hook's trace sampling brought up to date first, and the call's
-    /// deliveries added to the audit count after.
+    /// and the call's deliveries added to the audit count after.
     fn call<R>(&mut self, f: impl FnOnce(&mut Kernel<E>) -> R) -> R {
-        let _lend = run::lend(&mut self.run);
-        let k = &mut self.kernel;
-        if k.event_hook.is_some() {
-            let (generation, every) = trace::kernel_sampling();
-            if generation != k.hook_generation {
-                k.hook_generation = generation;
-                k.hook_left = 0;
-            }
-            k.hook_every = every;
-        }
-        let before = k.events_processed;
-        let out = f(k);
-        if audit::enabled() {
-            audit::add_deliveries(self.kernel.events_processed - before);
-        }
+        let _lend = self.run.lend();
+        let before = self.kernel.events_processed;
+        let out = f(&mut self.kernel);
+        audit::add_deliveries(self.kernel.events_processed - before);
         out
     }
 

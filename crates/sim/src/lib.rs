@@ -62,7 +62,7 @@ pub mod hash;
 mod kernel;
 pub mod par;
 pub mod rng;
-mod run;
+pub mod run;
 pub mod stats;
 pub mod store;
 pub mod sync;
@@ -72,4 +72,5 @@ pub mod trace;
 pub use component::{Component, ComponentId};
 pub use event::{EventQueue, ScheduledEvent};
 pub use kernel::{Ctx, Simulation};
+pub use run::{RunConfig, RunState};
 pub use time::Time;

@@ -1,65 +1,185 @@
-//! Per-machine run state, lent to whichever thread runs the machine.
+//! Per-machine observation and fault configuration, and the run state it
+//! is lent with.
 //!
-//! The observation and fault layers keep their *configuration* in process
-//! globals (audit mode and sink, tracer categories and sinks, the
-//! installed fault plan) but their *state* belongs to one simulated
-//! machine:
+//! A [`RunState`] holds one simulated machine's [`RunConfig`] — the
+//! tracer and auditor it reports to (shared `Arc` handles, so a fleet's
+//! machines can feed one sink) and its fault plan — next to the state
+//! those act on: the conservation ledger ([`crate::audit`]), the trace
+//! sample countdowns ([`crate::trace`]) and the fault decisions
+//! ([`crate::fault`]). A [`Simulation`](crate::Simulation) owns one and
+//! lends it to the calling thread for the length of each call
+//! ([`RunState::lend`]): it is swapped into a thread-local, with a guard
+//! word derived from its configuration that the hot-path checks read,
+//! and the drop guard swaps both back, also when a strict-audit panic
+//! unwinds. Machines interleaved on one thread, or moved between threads
+//! (the fleet's `par_map`), therefore keep their own configuration,
+//! ledger, sample subset and fault decisions. Outside any lend nothing is
+//! traced, audited or faulted. See `DESIGN.md` §10.
 //!
-//! * the conservation ledger ([`crate::audit`]);
-//! * the tracer's per-category 1-in-N sample countdowns
-//!   ([`crate::trace`]);
-//! * the fault decision state: a snapshot of the installed plan, the NIC
-//!   loss RNG and the IDE drop counter ([`crate::fault`]).
-//!
-//! A [`Simulation`](crate::Simulation) owns one [`RunState`] and lends it
-//! to the calling thread for the length of each call ([`lend`]): the
-//! parts are swapped into the thread-locals the hot paths read, and the
-//! drop guard swaps them back, also when a strict-audit panic unwinds
-//! through the call. Machines interleaved on one thread, or moved to a
-//! fresh thread between calls (the fleet's `par_map`), therefore keep
-//! their own ledger, sample subset and fault decisions, and a run's
-//! outputs and trace depend only on its own event order. See `DESIGN.md`
-//! §10.
+//! The only process-wide configuration is what [`RunConfig::from_env`]
+//! reads once, the default of every `PardServer`.
 
-use crate::{audit, fault, trace};
+use std::cell::{Cell, RefCell};
+use std::sync::{Arc, OnceLock};
 
-/// One simulated machine's ledger, trace sampler and fault decisions.
-#[derive(Default)]
-pub(crate) struct RunState {
+use crate::audit::{self, Auditor};
+use crate::fault::{self, FaultPlan};
+use crate::trace::{self, Tracer};
+
+/// One simulated machine's observation and fault configuration. The
+/// default observes nothing and injects nothing.
+#[derive(Clone, Debug, Default)]
+pub struct RunConfig {
+    /// Where the machine's trace events go; `None` traces nothing.
+    pub tracer: Option<Arc<Tracer>>,
+    /// The auditor the machine reports violations to; `None` audits
+    /// nothing.
+    pub auditor: Option<Arc<Auditor>>,
+    /// The machine's fault plan; `None`, or a plan without events,
+    /// injects nothing.
+    pub faults: Option<Arc<FaultPlan>>,
+}
+
+/// Guard-word bits: the trace categories take bits 0–7
+/// ([`trace::TraceCat::bit`]), then these two, then the fault classes
+/// ([`fault::FaultClass::bit`]) from [`FAULT_SHIFT`] up.
+pub(crate) const AUDIT_ON: u32 = 1 << 8;
+pub(crate) const AUDIT_STRICT: u32 = 1 << 9;
+pub(crate) const FAULT_SHIFT: u32 = 16;
+
+impl RunConfig {
+    /// The configuration the environment asks for: a tracer when
+    /// `PARD_TRACE` is set, an auditor when `PARD_AUDIT` is, no fault
+    /// plan. The environment is read on the first call only; every call
+    /// returns handles to the same tracer and auditor.
+    ///
+    /// A malformed value, or a sink file that cannot be created, is a
+    /// hard error: the process prints a message naming the variable and
+    /// exits with status 2 — a run asked to trace or audit must never
+    /// silently do less than asked.
+    pub fn from_env() -> RunConfig {
+        ENV.get_or_init(|| {
+            let exit = |msg: String| -> ! {
+                eprintln!("{msg}");
+                std::process::exit(2)
+            };
+            let var = |name| std::env::var(name).ok();
+            let tracer = trace::tracer_from_env().unwrap_or_else(|m| exit(m));
+            let auditor = audit::auditor_from(
+                var("PARD_AUDIT").as_deref(),
+                var("PARD_AUDIT_FILE").as_deref(),
+            )
+            .unwrap_or_else(|m| exit(m));
+            RunConfig {
+                tracer: tracer.map(Arc::new),
+                auditor: auditor.map(Arc::new),
+                faults: None,
+            }
+        })
+        .clone()
+    }
+
+    /// This configuration's guard word.
+    fn guard(&self) -> u32 {
+        let trace = self.tracer.as_ref().map_or(0, |t| t.mask());
+        let audit = self.auditor.as_ref().map_or(0, |a| match a.mode() {
+            audit::AuditMode::Report => AUDIT_ON,
+            audit::AuditMode::Strict => AUDIT_ON | AUDIT_STRICT,
+        });
+        let fault = self.faults.as_ref().map_or(0, |p| p.class_mask());
+        trace | audit | fault << FAULT_SHIFT
+    }
+}
+
+/// The environment's configuration, once [`RunConfig::from_env`] has
+/// read it.
+pub(crate) static ENV: OnceLock<RunConfig> = OnceLock::new();
+
+/// One simulated machine's configuration and run state: the conservation
+/// ledger, the trace sample countdowns and the fault decisions.
+pub struct RunState {
+    pub(crate) config: RunConfig,
+    guard: u32,
     pub(crate) ledger: audit::Ledger,
     pub(crate) sampler: trace::Sampler,
     pub(crate) faults: fault::Decisions,
 }
 
 impl RunState {
-    /// Swaps every part with the calling thread's active one.
-    fn swap_active(&mut self) {
-        audit::swap_active(&mut self.ledger);
-        trace::swap_active(&mut self.sampler);
-        fault::swap_active(&mut self.faults);
+    /// The state outside any lend: nothing configured.
+    const EMPTY: RunState = RunState {
+        config: RunConfig {
+            tracer: None,
+            auditor: None,
+            faults: None,
+        },
+        guard: 0,
+        ledger: audit::Ledger::EMPTY,
+        sampler: trace::Sampler::EMPTY,
+        faults: fault::Decisions::EMPTY,
+    };
+
+    /// A fresh run state under `config`.
+    pub fn new(config: RunConfig) -> RunState {
+        RunState {
+            guard: config.guard(),
+            config,
+            ..RunState::EMPTY
+        }
+    }
+
+    /// Lends this state to the calling thread until the returned guard
+    /// drops: trace emission, ledger operations and fault decisions on
+    /// this thread act on it meanwhile. Lends nest (the guard restores
+    /// whatever was active before). Costs one thread-local read when
+    /// neither this state nor the one active observes anything.
+    #[inline]
+    pub fn lend(&mut self) -> Lend<'_> {
+        let outer = guard();
+        if self.guard == 0 && outer == 0 {
+            return Lend { state: None, outer };
+        }
+        GUARD.with(|g| g.set(self.guard));
+        ACTIVE.with(|a| std::mem::swap(&mut *a.borrow_mut(), self));
+        Lend {
+            state: Some(self),
+            outer,
+        }
     }
 }
 
-/// A run state lent to the calling thread by [`lend`]; dropping it hands
-/// the state back.
-pub(crate) struct Lend<'a>(&'a mut RunState);
-
-/// Lends `state` to the calling thread until the returned guard drops:
-/// ledger operations, trace sampling and fault decisions on this thread
-/// act on it meanwhile. Lends nest (the guard restores whatever was active
-/// before). `None`, at the cost of three relaxed loads, while auditing,
-/// tracing and fault injection are all off.
-#[inline]
-pub(crate) fn lend(state: &mut RunState) -> Option<Lend<'_>> {
-    if !(audit::enabled() || trace::on() || fault::on()) {
-        return None;
-    }
-    state.swap_active();
-    Some(Lend(state))
+/// A run state lent to the calling thread by [`RunState::lend`];
+/// dropping it hands the state back.
+pub struct Lend<'a> {
+    state: Option<&'a mut RunState>,
+    outer: u32,
 }
 
 impl Drop for Lend<'_> {
+    #[inline]
     fn drop(&mut self) {
-        self.0.swap_active();
+        if let Some(state) = self.state.take() {
+            ACTIVE.with(|a| std::mem::swap(&mut *a.borrow_mut(), state));
+            GUARD.with(|g| g.set(self.outer));
+        }
     }
+}
+
+thread_local! {
+    /// The lent configuration's guard word; 0 outside any lend.
+    static GUARD: Cell<u32> = const { Cell::new(0) };
+    /// The run state lent to this thread, or [`RunState::EMPTY`].
+    static ACTIVE: RefCell<RunState> = const { RefCell::new(RunState::EMPTY) };
+}
+
+/// The calling thread's guard word: one thread-local read.
+#[inline]
+pub(crate) fn guard() -> u32 {
+    GUARD.with(Cell::get)
+}
+
+/// Runs `f` on the run state lent to the calling thread.
+#[inline]
+pub(crate) fn with_active<R>(f: impl FnOnce(&mut RunState) -> R) -> R {
+    ACTIVE.with(|a| f(&mut a.borrow_mut()))
 }

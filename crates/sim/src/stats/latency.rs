@@ -96,6 +96,12 @@ impl LatencySample {
         self.percentile(0.95)
     }
 
+    /// Every recorded latency, in ascending order.
+    pub fn sorted(&mut self) -> impl Iterator<Item = Time> + '_ {
+        self.ensure_sorted();
+        self.samples.iter().map(|&u| Time::from_units(u))
+    }
+
     /// Empirical CDF as `(latency, cumulative_fraction)` pairs, one per
     /// distinct latency value.
     pub fn cdf(&mut self) -> Vec<(Time, f64)> {

@@ -8,17 +8,22 @@
 //! as JSON Lines: one self-contained JSON object per line, always carrying
 //! the `time` (nanoseconds), `ds`, `cat`, and `event` keys.
 //!
-//! Tracing is **zero-cost when disabled**: the only work on a hot path is a
-//! single relaxed atomic load through [`enabled`], and instrumented
-//! components are expected to guard their field-gathering behind it.
+//! Tracing is **zero-cost when disabled**: the only work on a hot path is
+//! one thread-local read through [`enabled`], and instrumented components
+//! are expected to guard their field-gathering behind it.
 //! Tracing is a pure observer — it never schedules events, never touches
 //! any RNG, and therefore never perturbs a simulation's outcome; a traced
 //! run produces byte-identical figure output to an untraced run.
 //!
 //! # Enabling a trace
 //!
-//! The environment-variable interface (read by [`init_from_env`], which the
-//! system model calls at construction):
+//! A machine traces into the [`Tracer`] its configuration names
+//! ([`RunConfig::tracer`](crate::run::RunConfig)); machines that share a
+//! sink share one tracer through an `Arc`. Programmatic use builds one
+//! with [`Tracer::new`] from a [`TraceConfig`]. The environment-variable
+//! interface, read once per process by
+//! [`RunConfig::from_env`](crate::run::RunConfig::from_env), the default
+//! configuration of every `PardServer`:
 //!
 //! * `PARD_TRACE=<path>` — enable tracing. A path ending in `.ptr` selects
 //!   the durable paged binary store ([`crate::store`], the long-horizon
@@ -45,41 +50,36 @@
 //! the same contract `PARD_FAULT_PLAN` established — a run asked to trace
 //! must never silently trace less (or differently) than asked.
 //!
-//! Programmatic use goes through [`TraceConfig`] and [`install`] /
-//! [`disable`], which the trace-vs-untraced byte-identity test exercises
-//! within a single process.
-//!
 //! # Sampling
 //!
 //! A category sampled 1-in-`n` keeps the first event that passes its
 //! DS-id filter, then every `n`-th after it. The countdowns belong to the
-//! simulated machine, not to the process: they are part of the run state
-//! a [`Simulation`](crate::Simulation) lends to the thread that runs it
-//! (`crate::run`), so the kept subset depends only on that machine's own
-//! event order — also when fleet machines move between worker threads.
-//! Events emitted outside any machine (the fleet manager's, a harness's)
-//! count on the emitting thread's own countdowns. Every [`install`] and
-//! [`disable`] restarts all countdowns.
+//! simulated machine, not to the process or the tracer: they are part of
+//! the run state a [`Simulation`](crate::Simulation) lends to the thread
+//! that runs it (`crate::run`), so the kept subset depends only on that
+//! machine's own event order — also when fleet machines move between
+//! worker threads. Events emitted outside a kernel call (the fleet
+//! manager's) count on the countdowns of the run state their emitter
+//! lends.
 //!
 //! Sampled-out events cost a counter decrement: [`emit`] decides before
 //! it takes the tracer's lock, and the kernel counts its own category
 //! down, calling its event hook only for kept deliveries. A category with
-//! a DS-id filter is the exception: its filter is applied first, under
-//! the lock, and only the events that pass it are counted.
+//! a DS-id filter is the exception: the kernel shows every delivery to
+//! its hook, and [`emit`] applies the filter before counting.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::run;
 use crate::store::{self, StoreConfig, ValRef};
 use crate::time::Time;
 
 /// The event categories a trace line can belong to.
 ///
-/// Each category maps to one bit in the global enable mask, so the hot-path
+/// Each category maps to one bit of the lent guard word, so the hot-path
 /// check compiles to a load + test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -161,7 +161,7 @@ pub enum TraceVal {
 impl TraceVal {
     /// The store's borrowed view of this value (the two enums are kept in
     /// lock-step so both sinks serialise the same information).
-    fn as_store_ref(&self) -> ValRef<'static> {
+    pub(crate) fn as_store_ref(&self) -> ValRef<'static> {
         match *self {
             TraceVal::U(u) => ValRef::U(u),
             TraceVal::F(f) => ValRef::F(f),
@@ -179,7 +179,7 @@ const DEFAULT_SAMPLE: [u32; CATS] = [1024, 256, 256, 1, 1, 1, 1, 1];
 /// Default in-memory ring capacity, in rendered lines.
 const DEFAULT_RING: usize = 65_536;
 
-/// Configuration for [`install`].
+/// Configuration for [`Tracer::new`].
 #[derive(Debug)]
 pub struct TraceConfig {
     /// Sink path; `None` keeps events only in the in-memory ring. A path
@@ -269,207 +269,248 @@ struct TraceState {
     ring: VecDeque<String>,
     ring_capacity: usize,
     sink: Sink,
-    /// Per-category DS-id allow-lists; `None` admits every DS-id.
-    ds_filter: [Option<Vec<u16>>; CATS],
     emitted: u64,
 }
 
-/// The tracer's configuration word, read by every hot-path check with one
-/// relaxed load: bit `i` set = category `i` enabled; bit
-/// `FILTERED_SHIFT + i` set = category `i` has a DS-id filter; the bits
-/// from `GEN_SHIFT` up count [`install`] / [`disable`] calls, so sample
-/// countdowns can tell that the tracer they counted for is gone.
-static MASK: AtomicU64 = AtomicU64::new(0);
-const FILTERED_SHIFT: u32 = CATS as u32;
-const GEN_SHIFT: u32 = 32;
-/// The 1-in-N divisor [`emit`] applies per category. The kernel category's
-/// entry is 1 while the kernel samples that category itself (see
-/// [`kernel_sampling`]).
-static EMIT_DIV: [AtomicU32; CATS] = [const { AtomicU32::new(1) }; CATS];
-/// The 1-in-N divisor the kernel applies to its event hook: the kernel
-/// category's divisor while that category is traced without a DS-id
-/// filter, 1 otherwise.
-static KERNEL_DIV: AtomicU32 = AtomicU32::new(1);
-static STATE: Mutex<Option<TraceState>> = Mutex::new(None);
-
-/// True when `cat` is being traced. This is the hot-path guard: a single
-/// relaxed atomic load, so instrumented components pay nothing measurable
-/// when tracing is off.
-#[inline]
-pub fn enabled(cat: TraceCat) -> bool {
-    MASK.load(Ordering::Relaxed) & u64::from(cat.bit()) != 0
+/// A trace sink with its category filter and sampling divisors. Built
+/// once from a [`TraceConfig`] and shared by the machines that trace into
+/// it (see [`RunConfig`](crate::run::RunConfig)); the sink is finished
+/// when the tracer is disabled or dropped.
+pub struct Tracer {
+    /// Bit `i` set = category `i` enabled.
+    mask: u32,
+    /// Per-category DS-id allow-lists; `None` admits every DS-id.
+    ds_filter: [Option<Vec<u16>>; CATS],
+    /// The 1-in-N divisor [`emit`] applies per category. The kernel
+    /// category's entry is 1 while the kernel samples that category
+    /// itself (see [`Tracer::kernel_every`]).
+    emit_div: [u32; CATS],
+    /// The 1-in-N divisor the kernel applies to its event hook: the
+    /// kernel category's divisor while that category is traced without
+    /// a DS-id filter, 1 otherwise.
+    kernel_div: u32,
+    /// `None` once disabled.
+    state: Mutex<Option<TraceState>>,
 }
 
-/// True when any category is being traced.
+impl std::fmt::Debug for Tracer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tracer")
+            .field("mask", &self.mask)
+            .finish_non_exhaustive()
+    }
+}
+
+/// True when `cat` is traced on the calling thread. This is the hot-path
+/// guard: one thread-local read of the lent configuration's guard word,
+/// so instrumented components pay nothing measurable when tracing is off.
 #[inline]
-pub(crate) fn on() -> bool {
-    MASK.load(Ordering::Relaxed) & u64::from(u32::MAX >> (32 - CATS)) != 0
+pub fn enabled(cat: TraceCat) -> bool {
+    run::guard() & cat.bit() != 0
 }
 
 /// One machine's per-category sample countdowns: how many more events of
-/// each category to skip before the next kept one, and the tracer
-/// generation they count for. Part of the lent run state (`crate::run`).
-#[derive(Default)]
+/// each category to skip before the next kept one. Part of the lent run
+/// state (`crate::run`).
 pub(crate) struct Sampler {
-    generation: u32,
     left: [u32; CATS],
 }
 
-/// The countdowns the calling thread samples with: the lent machine's, or
-/// the thread's own.
-struct ActiveSampler {
-    generation: Cell<u32>,
-    left: [Cell<u32>; CATS],
-}
+impl Sampler {
+    pub(crate) const EMPTY: Sampler = Sampler { left: [0; CATS] };
 
-thread_local! {
-    static SAMPLER: ActiveSampler = const {
-        ActiveSampler {
-            generation: Cell::new(0),
-            left: [const { Cell::new(0) }; CATS],
+    /// Counts one event of `cat` (already past its DS-id filter) and says
+    /// whether it is kept under divisor `div`.
+    #[inline]
+    fn keep(&mut self, cat: TraceCat, div: u32) -> bool {
+        if div == 1 {
+            return true;
         }
-    };
-}
-
-/// Swaps `sampler` with the calling thread's active countdowns.
-pub(crate) fn swap_active(sampler: &mut Sampler) {
-    SAMPLER.with(|a| {
-        sampler.generation = a.generation.replace(sampler.generation);
-        for (mine, active) in sampler.left.iter_mut().zip(&a.left) {
-            *mine = active.replace(*mine);
-        }
-    });
-}
-
-/// Counts one event of `cat` (already past its DS-id filter) on the
-/// active countdowns and says whether it is kept. `word` is the [`MASK`]
-/// value the caller loaded.
-#[inline]
-fn keep(cat: TraceCat, word: u64) -> bool {
-    let div = EMIT_DIV[cat as usize].load(Ordering::Relaxed);
-    if div == 1 {
-        return true;
-    }
-    let generation = (word >> GEN_SHIFT) as u32;
-    SAMPLER.with(|a| {
-        if a.generation.get() != generation {
-            a.generation.set(generation);
-            a.left.iter().for_each(|c| c.set(0));
-        }
-        let left = &a.left[cat as usize];
-        match left.get() {
-            0 => {
-                left.set(div - 1);
-                true
-            }
-            n => {
-                left.set(n - 1);
-                false
-            }
-        }
-    })
-}
-
-/// How the kernel samples the deliveries it shows its event hook:
-/// `(generation, every)` — one delivery in `every` is shown, counting
-/// from the first after the tracer generation changes. `every` is 1
-/// unless the kernel category is traced without a DS-id filter.
-pub(crate) fn kernel_sampling() -> (u32, u32) {
-    let generation = (MASK.load(Ordering::Relaxed) >> GEN_SHIFT) as u32;
-    (generation, KERNEL_DIV.load(Ordering::Relaxed))
-}
-
-/// Publishes a new configuration word with a bumped generation. Called
-/// with the [`STATE`] lock held, after the divisors are stored.
-fn publish(enabled: u32, filtered: u32) {
-    let generation = (MASK.load(Ordering::Relaxed) >> GEN_SHIFT) + 1;
-    let word =
-        u64::from(enabled) | (u64::from(filtered) << FILTERED_SHIFT) | (generation << GEN_SHIFT);
-    MASK.store(word, Ordering::Release);
-}
-
-/// Installs the global tracer from `config`. Replaces any previous tracer
-/// (flushing — and for a binary store, finishing — it first). Fails if the
-/// sink file cannot be created or the store config is invalid.
-///
-/// # Panics
-///
-/// Panics on a zero `ring_capacity` or a zero sampling divisor — both are
-/// programming errors, and silently "fixing" them would make the tracer
-/// behave differently from what the caller asked for. (The env-var path
-/// rejects these before ever reaching `install`.)
-pub fn install(config: TraceConfig) -> std::io::Result<()> {
-    assert!(
-        config.ring_capacity > 0,
-        "TraceConfig::ring_capacity must be >= 1"
-    );
-    let sink = match &config.path {
-        Some(p) if p.extension().is_some_and(|e| e == "ptr") => {
-            let store_config = StoreConfig {
-                page_size: config.page_size,
-                pool_pages: config.pool_pages,
-            };
-            Sink::Binary(store::TraceWriter::create(p, store_config)?)
-        }
-        Some(p) => Sink::Jsonl(BufWriter::new(File::create(p)?)),
-        None => Sink::Ring,
-    };
-
-    let mut mask = 0u32;
-    let mut filtered = 0u32;
-    let mut ds_filter: [Option<Vec<u16>>; CATS] = Default::default();
-    if config.filter.is_empty() {
-        mask = TraceCat::ALL.iter().map(|c| c.bit()).sum();
-    } else {
-        for &(cat, ds) in &config.filter {
-            mask |= cat.bit();
-            if let Some(ds) = ds {
-                filtered |= cat.bit();
-                ds_filter[cat as usize].get_or_insert_with(Vec::new).push(ds);
-            }
+        let left = &mut self.left[cat as usize];
+        if *left == 0 {
+            *left = div - 1;
+            true
+        } else {
+            *left -= 1;
+            false
         }
     }
+}
 
-    let mut sample_div = DEFAULT_SAMPLE;
-    for &(cat, div) in &config.sample {
+impl Tracer {
+    /// Builds a tracer from `config`. Fails if the sink file cannot be
+    /// created or the store config is invalid.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero `ring_capacity` or a zero sampling divisor — both
+    /// are programming errors, and silently "fixing" them would make the
+    /// tracer behave differently from what the caller asked for. (The
+    /// env-var path rejects these before ever reaching `new`.)
+    pub fn new(config: TraceConfig) -> std::io::Result<Tracer> {
         assert!(
-            div > 0,
-            "TraceConfig sampling divisor for {} must be >= 1",
-            cat.name()
+            config.ring_capacity > 0,
+            "TraceConfig::ring_capacity must be >= 1"
         );
-        sample_div[cat as usize] = div;
+        let sink = match &config.path {
+            Some(p) if p.extension().is_some_and(|e| e == "ptr") => {
+                let store_config = StoreConfig {
+                    page_size: config.page_size,
+                    pool_pages: config.pool_pages,
+                };
+                Sink::Binary(store::TraceWriter::create(p, store_config)?)
+            }
+            Some(p) => Sink::Jsonl(BufWriter::new(File::create(p)?)),
+            None => Sink::Ring,
+        };
+
+        let mut mask = 0u32;
+        let mut ds_filter: [Option<Vec<u16>>; CATS] = Default::default();
+        if config.filter.is_empty() {
+            mask = TraceCat::ALL.iter().map(|c| c.bit()).sum();
+        } else {
+            for &(cat, ds) in &config.filter {
+                mask |= cat.bit();
+                if let Some(ds) = ds {
+                    ds_filter[cat as usize]
+                        .get_or_insert_with(Vec::new)
+                        .push(ds);
+                }
+            }
+        }
+
+        let mut emit_div = DEFAULT_SAMPLE;
+        for &(cat, div) in &config.sample {
+            assert!(
+                div > 0,
+                "TraceConfig sampling divisor for {} must be >= 1",
+                cat.name()
+            );
+            emit_div[cat as usize] = div;
+        }
+
+        // The kernel samples its own category unless a DS-id filter must
+        // run first, which only `emit` applies.
+        let kernel = TraceCat::Kernel;
+        let kernel_div = if mask & kernel.bit() != 0 && ds_filter[kernel as usize].is_none() {
+            std::mem::replace(&mut emit_div[kernel as usize], 1)
+        } else {
+            1
+        };
+
+        Ok(Tracer {
+            mask,
+            ds_filter,
+            emit_div,
+            kernel_div,
+            state: Mutex::new(Some(TraceState {
+                ring: VecDeque::new(),
+                ring_capacity: config.ring_capacity,
+                sink,
+                emitted: 0,
+            })),
+        })
     }
 
-    // The kernel samples its own category unless a DS-id filter must
-    // run first, which only the system model's hook can apply.
-    let kernel = TraceCat::Kernel.bit();
-    let kernel_div = if mask & kernel != 0 && filtered & kernel == 0 {
-        std::mem::replace(&mut sample_div[TraceCat::Kernel as usize], 1)
-    } else {
-        1
-    };
-
-    let state = TraceState {
-        ring: VecDeque::new(),
-        ring_capacity: config.ring_capacity,
-        sink,
-        ds_filter,
-        emitted: 0,
-    };
-
-    let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(old) = guard.as_mut() {
-        old.sink.finish();
+    /// The enabled categories, one bit each.
+    pub(crate) fn mask(&self) -> u32 {
+        self.mask
     }
-    *guard = Some(state);
-    for (slot, div) in EMIT_DIV.iter().zip(sample_div) {
-        slot.store(div, Ordering::Relaxed);
+
+    /// True when this tracer traces `cat`.
+    pub fn enabled(&self, cat: TraceCat) -> bool {
+        self.mask & cat.bit() != 0
     }
-    KERNEL_DIV.store(kernel_div, Ordering::Relaxed);
-    // Publish the mask only after the state is in place so a racing emit
-    // never observes enabled-but-uninstalled.
-    publish(mask, filtered);
-    Ok(())
+
+    /// How the kernel samples the deliveries it shows its event hook:
+    /// one in this many, counting from the machine's first delivery. 1
+    /// unless the kernel category is traced without a DS-id filter.
+    pub(crate) fn kernel_every(&self) -> u32 {
+        self.kernel_div
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<TraceState>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Flushes any pending sink writes (finishing a binary store, which
+    /// also syncs it to disk) and stops the tracer: later events are
+    /// dropped.
+    pub fn disable(&self) {
+        if let Some(mut state) = self.lock().take() {
+            state.sink.finish();
+        }
+    }
+
+    /// Flushes the sink without disabling tracing. For a binary store
+    /// this seals the partial page, so everything emitted so far is
+    /// visible to a concurrent reader.
+    pub fn flush(&self) {
+        if let Some(state) = self.lock().as_mut() {
+            state.sink.flush();
+        }
+    }
+
+    /// The most recent trace lines still held in the in-memory ring.
+    ///
+    /// The binary store bypasses the ring (its file is the durable
+    /// record), so this is empty while a `.ptr` sink is active.
+    pub fn recent_lines(&self) -> Vec<String> {
+        self.lock()
+            .as_ref()
+            .map(|s| s.ring.iter().cloned().collect())
+            .unwrap_or_default()
+    }
+
+    /// Total events emitted (post-filter, post-sampling) into this tracer.
+    pub fn lines_emitted(&self) -> u64 {
+        self.lock().as_ref().map_or(0, |s| s.emitted)
+    }
+
+    /// Whether `cat` events of DS-id `ds` pass the DS-id filter.
+    #[inline]
+    fn admits(&self, cat: TraceCat, ds: u16) -> bool {
+        self.ds_filter[cat as usize]
+            .as_ref()
+            .is_none_or(|allow| allow.contains(&ds))
+    }
+
+    /// Hands one kept event to the sink: rendered as a JSONL line for the
+    /// ring/JSONL sinks, appended in binary form (no render) for a `.ptr`
+    /// store.
+    #[inline(never)]
+    fn write(&self, cat: TraceCat, time: Time, ds: u16, event: &str, fields: &[(&str, TraceVal)]) {
+        let mut guard = self.lock();
+        let Some(state) = guard.as_mut() else {
+            return;
+        };
+        if let Sink::Binary(w) = &mut state.sink {
+            let _ = w.append(
+                cat as u8,
+                time.units(),
+                ds,
+                event,
+                fields.iter().map(|(k, v)| (*k, v.as_store_ref())),
+            );
+            state.emitted += 1;
+            return;
+        }
+        let line = render_line(cat, time, ds, event, fields);
+        if let Sink::Jsonl(w) = &mut state.sink {
+            let _ = writeln!(w, "{line}");
+        }
+        if state.ring.len() == state.ring_capacity {
+            state.ring.pop_front();
+        }
+        state.ring.push_back(line);
+        state.emitted += 1;
+    }
+}
+
+impl Drop for Tracer {
+    fn drop(&mut self) {
+        self.disable();
+    }
 }
 
 /// Parses the raw `PARD_TRACE*` values into a [`TraceConfig`].
@@ -576,144 +617,56 @@ fn config_from_env(
 }
 
 /// Reads `PARD_TRACE` / `PARD_TRACE_FILTER` / `PARD_TRACE_SAMPLE` /
-/// `PARD_TRACE_RING` / `PARD_TRACE_PAGE` / `PARD_TRACE_POOL` and installs
-/// the tracer if `PARD_TRACE` is set.
-///
-/// A malformed value, or a sink file that cannot be created, is a hard
-/// error: the process prints a message naming the variable and exits with
-/// status 2 — a run asked to trace must never silently trace less than
-/// asked (the `PARD_FAULT_PLAN` contract).
-///
-/// Idempotent: only the first call in a process does anything, so every
-/// `PardServer` construction may call it unconditionally.
-pub fn init_from_env() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let Ok(path) = std::env::var("PARD_TRACE") else {
-            return;
-        };
-        if path.is_empty() {
-            return;
-        }
-        let filter = std::env::var("PARD_TRACE_FILTER").ok();
-        let sample = std::env::var("PARD_TRACE_SAMPLE").ok();
-        let ring = std::env::var("PARD_TRACE_RING").ok();
-        let page = std::env::var("PARD_TRACE_PAGE").ok();
-        let pool = std::env::var("PARD_TRACE_POOL").ok();
-        let config = match config_from_env(
-            &path,
-            filter.as_deref(),
-            sample.as_deref(),
-            ring.as_deref(),
-            page.as_deref(),
-            pool.as_deref(),
-        ) {
-            Ok(config) => config,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        };
-        if let Err(e) = install(config) {
-            eprintln!("PARD_TRACE: cannot open {path:?}: {e}");
-            std::process::exit(2);
-        }
-    });
+/// `PARD_TRACE_RING` / `PARD_TRACE_PAGE` / `PARD_TRACE_POOL` and builds
+/// the tracer they ask for: `None` when `PARD_TRACE` is unset or empty.
+/// `Err` names the variable at fault, for a malformed value or a sink
+/// file that cannot be created.
+pub(crate) fn tracer_from_env() -> Result<Option<Tracer>, String> {
+    let var = |name| std::env::var(name).ok();
+    let Some(path) = var("PARD_TRACE").filter(|p| !p.is_empty()) else {
+        return Ok(None);
+    };
+    let config = config_from_env(
+        &path,
+        var("PARD_TRACE_FILTER").as_deref(),
+        var("PARD_TRACE_SAMPLE").as_deref(),
+        var("PARD_TRACE_RING").as_deref(),
+        var("PARD_TRACE_PAGE").as_deref(),
+        var("PARD_TRACE_POOL").as_deref(),
+    )?;
+    Tracer::new(config)
+        .map(Some)
+        .map_err(|e| format!("PARD_TRACE: cannot open {path:?}: {e}"))
 }
 
-/// Flushes any pending sink writes (finishing a binary store, which also
-/// syncs it to disk) and tears the tracer down, returning the process to
-/// the zero-cost disabled state.
+/// Finishes the tracer the environment configured (see
+/// [`Tracer::disable`]); a no-op when the environment asked for none.
 pub fn disable() {
-    let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    publish(0, 0);
-    KERNEL_DIV.store(1, Ordering::Relaxed);
-    if let Some(state) = guard.as_mut() {
-        state.sink.finish();
-    }
-    *guard = None;
-}
-
-/// Flushes the sink (if any) without disabling tracing. For a binary
-/// store this seals the partial page, so everything emitted so far is
-/// visible to a concurrent reader.
-pub fn flush() {
-    let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(state) = guard.as_mut() {
-        state.sink.flush();
+    if let Some(tracer) = run::ENV.get().and_then(|c| c.tracer.as_ref()) {
+        tracer.disable();
     }
 }
 
-/// Emits one trace event.
+/// Emits one trace event into the tracer of the run state lent to the
+/// calling thread.
 ///
 /// Callers should guard the call (and any field gathering) behind
 /// [`enabled`]; `emit` re-checks, applies the DS-id filter and the
-/// per-category sampling divisor (see [Sampling](#sampling)), then hands
-/// the kept event to the sink: rendered as a JSONL line for the ring/JSONL
-/// sinks, appended in binary form (no render) for a `.ptr` store. A
-/// sampled-out event of a category without a DS-id filter returns before
-/// the tracer's lock.
+/// per-category sampling divisor (see [Sampling](#sampling)), and only
+/// then takes the tracer's lock to hand the kept event to the sink.
 #[inline]
 pub fn emit(cat: TraceCat, time: Time, ds: u16, event: &str, fields: &[(&str, TraceVal)]) {
-    let word = MASK.load(Ordering::Relaxed);
-    let bit = u64::from(cat.bit());
-    if word & bit == 0 {
+    if !enabled(cat) {
         return;
     }
-    if word & (bit << FILTERED_SHIFT) != 0 {
-        write(cat, time, ds, event, fields, Some(word));
-    } else if keep(cat, word) {
-        write(cat, time, ds, event, fields, None);
-    }
-}
-
-/// Hands one event to the sink. With `filter_word` set the category has a
-/// DS-id filter, applied here under the lock before the event is counted
-/// for sampling.
-#[inline(never)]
-fn write(
-    cat: TraceCat,
-    time: Time,
-    ds: u16,
-    event: &str,
-    fields: &[(&str, TraceVal)],
-    filter_word: Option<u64>,
-) {
-    let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(state) = guard.as_mut() else {
-        return;
-    };
-    if let Some(word) = filter_word {
-        if let Some(allow) = &state.ds_filter[cat as usize] {
-            if !allow.contains(&ds) {
-                return;
-            }
-        }
-        if !keep(cat, word) {
+    run::with_active(|state| {
+        let Some(tracer) = &state.config.tracer else {
             return;
+        };
+        if tracer.admits(cat, ds) && state.sampler.keep(cat, tracer.emit_div[cat as usize]) {
+            tracer.write(cat, time, ds, event, fields);
         }
-    }
-
-    if let Sink::Binary(w) = &mut state.sink {
-        let _ = w.append(
-            cat as u8,
-            time.units(),
-            ds,
-            event,
-            fields.iter().map(|(k, v)| (*k, v.as_store_ref())),
-        );
-        state.emitted += 1;
-        return;
-    }
-    let line = render_line(cat, time, ds, event, fields);
-    if let Sink::Jsonl(w) = &mut state.sink {
-        let _ = writeln!(w, "{line}");
-    }
-    if state.ring.len() == state.ring_capacity {
-        state.ring.pop_front();
-    }
-    state.ring.push_back(line);
-    state.emitted += 1;
+    });
 }
 
 /// Renders one trace event as its JSONL line.
@@ -765,7 +718,7 @@ fn render_prefix(cat: TraceCat, time_units: u64, ds: u16, event: &str) -> String
 /// live-emission path ([`TraceVal`]) and the store-decode path
 /// ([`store::Event`]) share one formatter, which is what makes the two
 /// sinks byte-equivalent by construction.
-fn render_fields<'a>(line: &mut String, fields: impl Iterator<Item = (&'a str, ValRef<'a>)>) {
+pub(crate) fn render_fields<'a>(line: &mut String, fields: impl Iterator<Item = (&'a str, ValRef<'a>)>) {
     use std::fmt::Write as _;
     for (key, val) in fields {
         let _ = write!(line, ",\"{key}\":");
@@ -804,185 +757,224 @@ pub(crate) fn format_ns(t: Time) -> String {
     }
 }
 
-/// The most recent trace lines still held in the in-memory ring.
-///
-/// The binary store bypasses the ring (its file is the durable record),
-/// so this is empty while a `.ptr` sink is active.
-pub fn recent_lines() -> Vec<String> {
-    let guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    guard
-        .as_ref()
-        .map(|s| s.ring.iter().cloned().collect())
-        .unwrap_or_default()
-}
-
-/// Total events emitted (post-filter, post-sampling) since [`install`].
-pub fn lines_emitted() -> u64 {
-    let guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_ref().map(|s| s.emitted).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{lend, RunState};
+    use crate::run::{RunConfig, RunState};
+    use std::sync::Arc;
 
-    // The tracer is process-global, so every test that installs it runs
-    // inside this single test function to avoid cross-test interference.
+    fn tracer(config: TraceConfig) -> Arc<Tracer> {
+        Arc::new(Tracer::new(config).unwrap())
+    }
+
+    fn run_state(tracer: &Arc<Tracer>) -> RunState {
+        RunState::new(RunConfig {
+            tracer: Some(tracer.clone()),
+            ..RunConfig::default()
+        })
+    }
+
+    /// Runs `f` with a fresh run state tracing into `tracer` lent.
+    fn traced(tracer: &Arc<Tracer>, f: impl FnOnce()) {
+        let mut state = run_state(tracer);
+        let _lend = state.lend();
+        f();
+    }
+
     #[test]
-    fn install_filter_sample_disable_lifecycle() {
-        assert!(!enabled(TraceCat::Llc), "tracing must start disabled");
+    fn nothing_is_traced_outside_a_lend() {
+        let t = tracer(TraceConfig::default());
+        assert!(t.enabled(TraceCat::Llc));
+        assert!(!enabled(TraceCat::Llc), "no run state is lent");
         emit(TraceCat::Llc, Time::from_ns(1), 0, "miss", &[]);
-        assert_eq!(lines_emitted(), 0);
+        assert_eq!(t.lines_emitted(), 0);
+        traced(&t, || assert!(enabled(TraceCat::Llc)));
+        assert!(!enabled(TraceCat::Llc), "the lend is over");
+    }
 
+    #[test]
+    fn filtered_events_render_as_jsonl_lines() {
         // Ring-only tracer, llc for all ds + trigger for ds 2 only, no
         // sampling so every event lands.
-        install(TraceConfig {
-            path: None,
-            filter: vec![
-                (TraceCat::Llc, None),
-                (TraceCat::Trigger, Some(2)),
-            ],
+        let t = tracer(TraceConfig {
+            filter: vec![(TraceCat::Llc, None), (TraceCat::Trigger, Some(2))],
             sample: vec![(TraceCat::Llc, 1)],
             ring_capacity: 4,
             ..TraceConfig::default()
-        })
-        .unwrap();
-        assert!(enabled(TraceCat::Llc));
-        assert!(enabled(TraceCat::Trigger));
-        assert!(!enabled(TraceCat::Dram));
-
-        emit(
-            TraceCat::Llc,
-            Time::from_units(9), // 2.25 ns
-            3,
-            "miss",
-            &[("addr", TraceVal::U(64)), ("hot", TraceVal::B(true))],
-        );
-        emit(TraceCat::Trigger, Time::from_ns(5), 1, "fire", &[]); // filtered out
-        emit(TraceCat::Trigger, Time::from_ns(5), 2, "fire", &[("slot", TraceVal::U(0))]);
-        emit(TraceCat::Dram, Time::from_ns(6), 2, "issue", &[]); // category off
-
-        let lines = recent_lines();
-        assert_eq!(lines.len(), 2);
+        });
+        traced(&t, || {
+            assert!(enabled(TraceCat::Llc));
+            assert!(enabled(TraceCat::Trigger));
+            assert!(!enabled(TraceCat::Dram));
+            emit(
+                TraceCat::Llc,
+                Time::from_units(9), // 2.25 ns
+                3,
+                "miss",
+                &[("addr", TraceVal::U(64)), ("hot", TraceVal::B(true))],
+            );
+            emit(TraceCat::Trigger, Time::from_ns(5), 1, "fire", &[]); // filtered out
+            let slot = [("slot", TraceVal::U(0))];
+            emit(TraceCat::Trigger, Time::from_ns(5), 2, "fire", &slot);
+            emit(TraceCat::Dram, Time::from_ns(6), 2, "issue", &[]); // category off
+        });
         assert_eq!(
-            lines[0],
-            "{\"time\":2.25,\"ds\":3,\"cat\":\"llc\",\"event\":\"miss\",\"addr\":64,\"hot\":true}"
+            t.recent_lines(),
+            [
+                "{\"time\":2.25,\"ds\":3,\"cat\":\"llc\",\"event\":\"miss\",\"addr\":64,\"hot\":true}",
+                "{\"time\":5,\"ds\":2,\"cat\":\"trigger\",\"event\":\"fire\",\"slot\":0}",
+            ]
         );
-        assert_eq!(
-            lines[1],
-            "{\"time\":5,\"ds\":2,\"cat\":\"trigger\",\"event\":\"fire\",\"slot\":0}"
-        );
-        assert_eq!(lines_emitted(), 2);
+        assert_eq!(t.lines_emitted(), 2);
+    }
 
-        // Sampling: divisor 3 keeps the 1st, 4th, 7th, ... event.
-        install(TraceConfig {
-            path: None,
+    #[test]
+    fn each_run_state_samples_its_own_events() {
+        // Divisor 3 keeps the 1st, 4th, 7th, ... event.
+        let t = tracer(TraceConfig {
             filter: vec![(TraceCat::Dram, None)],
             sample: vec![(TraceCat::Dram, 3)],
-            ring_capacity: 16,
             ..TraceConfig::default()
-        })
-        .unwrap();
-        for i in 0..7u64 {
-            emit(TraceCat::Dram, Time::from_ns(i), 0, "issue", &[]);
-        }
-        assert_eq!(lines_emitted(), 3);
+        });
+        traced(&t, || {
+            for i in 0..7u64 {
+                emit(TraceCat::Dram, Time::from_ns(i), 0, "issue", &[]);
+            }
+        });
+        assert_eq!(t.lines_emitted(), 3);
+        assert_eq!(t.kernel_every(), 1, "kernel category off");
 
-        // Each machine counts its own events: two run states lent in turn
-        // keep what each would keep alone (events 1-4: the 1st and 4th;
-        // events 5-8: the 7th).
-        fn kept_of_four(state: &mut RunState) -> u64 {
-            let _lend = lend(state);
-            let before = lines_emitted();
+        // Two run states lent in turn keep what each would keep alone
+        // (events 1-4: the 1st and 4th; events 5-8: the 7th).
+        let kept_of_four = |state: &mut RunState| {
+            let _lend = state.lend();
+            let before = t.lines_emitted();
             for i in 0..4u64 {
                 emit(TraceCat::Dram, Time::from_ns(i), 0, "issue", &[]);
             }
-            lines_emitted() - before
-        }
-        let (mut a, mut b) = (RunState::default(), RunState::default());
+            t.lines_emitted() - before
+        };
+        let (mut a, mut b) = (run_state(&t), run_state(&t));
         assert_eq!([kept_of_four(&mut a), kept_of_four(&mut b)], [2, 2]);
         assert_eq!([kept_of_four(&mut a), kept_of_four(&mut b)], [1, 1]);
-        assert_eq!(kernel_sampling().1, 1, "kernel category off");
+    }
 
-        // A DS-id filter runs before sampling: of the DS-2 events (the
-        // 1st, 3rd, 5th and 6th emitted), divisor 2 keeps the 1st and 3rd.
-        // A filtered kernel category is sampled here too, not by the
-        // kernel. (The kernel's own countdown, for an unfiltered kernel
-        // category, is covered by the bench crate's run-state tests: any
-        // config here that sets it would race the kernel unit tests'
-        // event hooks.)
-        install(TraceConfig {
-            path: None,
+    #[test]
+    fn a_ds_filter_runs_before_sampling() {
+        // Of the DS-2 events (the 1st, 3rd, 5th and 6th emitted), divisor
+        // 2 keeps the 1st and 3rd. A filtered kernel category is sampled
+        // here too, not by the kernel.
+        let t = tracer(TraceConfig {
             filter: vec![(TraceCat::Dram, Some(2)), (TraceCat::Kernel, Some(0))],
             sample: vec![(TraceCat::Dram, 2), (TraceCat::Kernel, 2)],
-            ring_capacity: 16,
             ..TraceConfig::default()
-        })
-        .unwrap();
-        assert_eq!(kernel_sampling().1, 1, "a DS filter moves sampling to emit");
-        for (i, ds) in [2u16, 1, 2, 1, 2, 2].into_iter().enumerate() {
-            emit(TraceCat::Dram, Time::from_ns(i as u64), ds, "issue", &[]);
-        }
-        let times: Vec<String> = recent_lines()
+        });
+        assert_eq!(t.kernel_every(), 1, "a DS filter moves sampling to emit");
+        traced(&t, || {
+            for (i, ds) in [2u16, 1, 2, 1, 2, 2].into_iter().enumerate() {
+                emit(TraceCat::Dram, Time::from_ns(i as u64), ds, "issue", &[]);
+            }
+        });
+        let times: Vec<String> = t
+            .recent_lines()
             .iter()
             .map(|l| l.split(',').next().unwrap().to_string())
             .collect();
         assert_eq!(times, ["{\"time\":0", "{\"time\":4"]);
-        for ds in [0, 1, 0, 0] {
-            emit(TraceCat::Kernel, Time::from_ns(9), ds, "tick", &[]);
-        }
-        assert_eq!(lines_emitted(), 4, "DS-0 kernel events 1 and 3 kept");
+        traced(&t, || {
+            for ds in [0, 1, 0, 0] {
+                emit(TraceCat::Kernel, Time::from_ns(9), ds, "tick", &[]);
+            }
+        });
+        assert_eq!(t.lines_emitted(), 4, "DS-0 kernel events 1 and 3 kept");
 
-        // Ring capacity bounds memory.
-        install(TraceConfig {
-            path: None,
+        // Unfiltered, the kernel samples its own category.
+        let t = tracer(TraceConfig {
+            sample: vec![(TraceCat::Kernel, 2)],
+            ..TraceConfig::default()
+        });
+        assert_eq!(t.kernel_every(), 2);
+        assert_eq!(t.emit_div[TraceCat::Kernel as usize], 1);
+    }
+
+    #[test]
+    fn ring_capacity_bounds_memory_and_disable_stops_the_tracer() {
+        let t = tracer(TraceConfig {
             filter: vec![(TraceCat::Io, None)],
-            sample: Vec::new(),
             ring_capacity: 2,
             ..TraceConfig::default()
-        })
-        .unwrap();
-        for i in 0..5u64 {
-            emit(TraceCat::Io, Time::from_ns(i), 0, "dma", &[]);
+        });
+        traced(&t, || {
+            for i in 0..5u64 {
+                emit(TraceCat::Io, Time::from_ns(i), 0, "dma", &[]);
+            }
+        });
+        assert_eq!(t.recent_lines().len(), 2);
+        assert!(t.recent_lines()[0].contains("\"time\":3"));
+
+        t.disable();
+        assert!(t.recent_lines().is_empty());
+        traced(&t, || emit(TraceCat::Io, Time::from_ns(9), 0, "dma", &[]));
+        assert_eq!(t.lines_emitted(), 0, "a disabled tracer drops events");
+    }
+
+    #[test]
+    fn machines_on_one_thread_trace_into_their_own_tracers() {
+        let a = tracer(TraceConfig::default());
+        let b = tracer(TraceConfig::default());
+        let (mut sa, mut sb) = (run_state(&a), run_state(&b));
+        let mut bare = RunState::new(RunConfig::default());
+        for i in 0..3u64 {
+            {
+                let _a = sa.lend();
+                emit(TraceCat::Io, Time::from_ns(i), 1, "a", &[]);
+                // A bare state lent inside shadows the outer one.
+                let _bare = bare.lend();
+                assert!(!enabled(TraceCat::Io));
+                emit(TraceCat::Io, Time::from_ns(i), 0, "bare", &[]);
+            }
+            let _b = sb.lend();
+            emit(TraceCat::Io, Time::from_ns(i), 2, "b", &[]);
         }
-        assert_eq!(recent_lines().len(), 2);
-        assert!(recent_lines()[0].contains("\"time\":3"));
+        assert_eq!((a.lines_emitted(), b.lines_emitted()), (3, 3));
+        let only = |t: &Tracer, event: &str| t.recent_lines().iter().all(|l| l.contains(event));
+        assert!(only(&a, "\"event\":\"a\"") && only(&b, "\"event\":\"b\""));
+    }
 
-        disable();
-        assert!(!enabled(TraceCat::Io));
-        assert!(recent_lines().is_empty());
-
+    #[test]
+    fn binary_sink_decodes_to_the_jsonl_bytes() {
         // Binary sink (`.ptr`): emits append structured events, the ring
         // stays empty, and decoding + render_stored reproduces the exact
         // JSONL bytes.
         let dir = std::env::temp_dir().join(format!("pard-trace-bin-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let ptr = dir.join("t.ptr");
-        install(TraceConfig {
+        let t = tracer(TraceConfig {
             path: Some(ptr.clone()),
             filter: vec![(TraceCat::Llc, None), (TraceCat::Ide, None)],
             sample: vec![(TraceCat::Llc, 1)],
             ring_capacity: 4,
             ..TraceConfig::default()
-        })
-        .unwrap();
-        emit(
-            TraceCat::Llc,
-            Time::from_units(9), // 2.25 ns
-            3,
-            "miss",
-            &[
-                ("addr", TraceVal::U(64)),
-                ("way", TraceVal::S("mru")),
-                ("hot", TraceVal::B(true)),
-                ("occ", TraceVal::F(0.5)),
-            ],
-        );
-        emit(TraceCat::Ide, Time::from_ns(5), 2, "grant", &[("bytes", TraceVal::U(4096))]);
-        assert_eq!(lines_emitted(), 2);
-        assert!(recent_lines().is_empty(), "binary sink bypasses the ring");
-        disable(); // finishes the store
+        });
+        traced(&t, || {
+            emit(
+                TraceCat::Llc,
+                Time::from_units(9), // 2.25 ns
+                3,
+                "miss",
+                &[
+                    ("addr", TraceVal::U(64)),
+                    ("way", TraceVal::S("mru")),
+                    ("hot", TraceVal::B(true)),
+                    ("occ", TraceVal::F(0.5)),
+                ],
+            );
+            let bytes = [("bytes", TraceVal::U(4096))];
+            emit(TraceCat::Ide, Time::from_ns(5), 2, "grant", &bytes);
+        });
+        assert_eq!(t.lines_emitted(), 2);
+        assert!(t.recent_lines().is_empty(), "binary sink bypasses the ring");
+        drop(t); // dropping the last handle finishes the store
 
         let mut reader = store::TraceReader::open(&ptr).unwrap();
         let decoded: Vec<String> = reader
@@ -1016,7 +1008,7 @@ mod tests {
     }
 
     // config_from_env is pure, so the hard-error contract is testable
-    // without touching process env or the global tracer.
+    // without touching the process environment.
     #[test]
     fn env_config_accepts_the_documented_surface() {
         let c = config_from_env(
