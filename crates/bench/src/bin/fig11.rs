@@ -8,10 +8,12 @@
 //! low-priority requests pay 33.6% more (20.3 cycles).
 //!
 //! The scenario itself lives in [`pard_bench::fig11_scenario`] so the
-//! determinism test can replay it at a smaller scale.
+//! determinism test can replay it at a smaller scale. Both runs trace and
+//! audit as `PARD_TRACE` / `PARD_AUDIT` say.
 
-use pard_bench::fig11_scenario::{run_pair, summary_json};
+use pard_bench::fig11_scenario::{run_pair_with, summary_json};
 use pard_bench::output::{print_series, print_table, save_json};
+use pard_sim::RunConfig;
 
 fn thin(cdf: &[(f64, f64)]) -> Vec<(f64, f64)> {
     // Keep ~50 points for printing.
@@ -36,7 +38,8 @@ fn main() {
     let requests = 200_000;
 
     // Two independent deterministic runs; the pool overlaps them.
-    let (base, pard) = run_pair(inject_rate, requests);
+    // `PARD_AUDIT` / `PARD_TRACE` observe both.
+    let (base, pard) = run_pair_with(inject_rate, requests, &RunConfig::from_env());
 
     println!("Figure 11: CDF of memory-request queueing delay (inject rate {inject_rate})\n");
     print_table(

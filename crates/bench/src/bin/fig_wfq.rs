@@ -7,11 +7,13 @@
 //! programs weights 1 / 2 / 4 into the parameter table and the PIFO
 //! serves the flows 1 : 2 : 4. See
 //! [`pard_bench::fig_wfq_scenario`]; the emitted `fig_wfq.json` is
-//! byte-identical at every `PARD_THREADS` setting.
+//! byte-identical at every `PARD_THREADS` setting. Both runs trace and
+//! audit as `PARD_TRACE` / `PARD_AUDIT` say.
 
 use pard_bench::duration_scale;
-use pard_bench::fig_wfq_scenario::{run_pair, summary_json, WFQ_FLOWS, WFQ_POLICY};
+use pard_bench::fig_wfq_scenario::{run_pair_with, summary_json, WFQ_FLOWS, WFQ_POLICY};
 use pard_bench::output::{print_table, save_json};
+use pard_sim::RunConfig;
 
 fn main() {
     let scale = duration_scale();
@@ -22,7 +24,8 @@ fn main() {
     println!("policy: {WFQ_POLICY}");
     println!("requests: {requests} at {inject_rate}x the service rate\n");
 
-    let (base, wfq) = run_pair(inject_rate, requests);
+    // `PARD_AUDIT` / `PARD_TRACE` observe both runs.
+    let (base, wfq) = run_pair_with(inject_rate, requests, &RunConfig::from_env());
 
     let rows: Vec<Vec<String>> = WFQ_FLOWS
         .iter()

@@ -27,7 +27,7 @@ use pard_dram::{MemCtrl, MemCtrlConfig};
 use pard_icn::{DsId, LAddr, MemKind, MemPacket, PacketId, PardEvent, TickKind};
 use pard_sim::par::par_map;
 use pard_sim::rng::{stream_rng, Rng, Xoshiro256pp};
-use pard_sim::{Component, ComponentId, Ctx, Simulation, Time};
+use pard_sim::{Component, ComponentId, Ctx, RunConfig, Simulation, Time};
 
 /// The `(DS-id, wfq_weight)` of each competing flow.
 pub const WFQ_FLOWS: [(u16, u64); 3] = [(1, 1), (2, 2), (3, 4)];
@@ -101,8 +101,13 @@ impl Component<PardEvent> for Injector {
 /// derive their RNG from the same named stream, so the pair is
 /// bit-identical to two serial [`run`] calls at any `PARD_THREADS`.
 pub fn run_pair(inject_rate: f64, requests: u64) -> (Vec<f64>, Vec<f64>) {
+    run_pair_with(inject_rate, requests, &RunConfig::default())
+}
+
+/// As [`run_pair`], with both simulations observed as `run` says.
+pub fn run_pair_with(inject_rate: f64, requests: u64, run: &RunConfig) -> (Vec<f64>, Vec<f64>) {
     let mut results = par_map(vec![false, true], |weighted| {
-        run(inject_rate, weighted, requests)
+        run_with(inject_rate, weighted, requests, run)
     });
     let wfq = results.pop().expect("weighted run");
     let base = results.pop().expect("baseline run");
@@ -112,9 +117,14 @@ pub fn run_pair(inject_rate: f64, requests: u64) -> (Vec<f64>, Vec<f64>) {
 /// Runs the injector against the DDR3 controller with the WFQ program
 /// installed and returns each flow's share of served requests, in
 /// percent. `weighted` programs the 1 / 2 / 4 weights; otherwise every
-/// weight stays at its default of 1.
+/// weight stays at its default of 1. The bare simulation is unobserved.
 pub fn run(inject_rate: f64, weighted: bool, requests: u64) -> Vec<f64> {
-    let mut sim: Simulation<PardEvent> = Simulation::new();
+    run_with(inject_rate, weighted, requests, &RunConfig::default())
+}
+
+/// As [`run`], observed as `run` says.
+pub fn run_with(inject_rate: f64, weighted: bool, requests: u64, run: &RunConfig) -> Vec<f64> {
+    let mut sim: Simulation<PardEvent> = Simulation::with_config(run.clone());
     let (ctrl_model, cp) = MemCtrl::new(MemCtrlConfig {
         priorities_enabled: true,
         ..MemCtrlConfig::default()

@@ -4,7 +4,9 @@
 //! auditor of its own:
 //!
 //! 1. **Observer purity** — an audited fig11 run renders byte-identical
-//!    figure JSON to an unaudited run, with zero violations reported.
+//!    figure JSON to an unaudited run, with zero violations reported;
+//!    a strict-audited fig_wfq pair gives the unaudited shares and
+//!    audits clean.
 //! 2. **DS-id preservation** — a full-machine run with cache and disk
 //!    LDoms completes with zero `ds_preservation` (and every other)
 //!    violations while every instrumented domain saw traffic.
@@ -17,8 +19,9 @@ use std::sync::Arc;
 
 use pard::{DsId, LDomSpec, PardServer, SystemConfig, Time};
 use pard_bench::fig11_scenario::{run_pair, run_pair_with, summary_json};
+use pard_bench::fig_wfq_scenario;
 use pard_icn::{LAddr, MemKind, MemPacket, PacketId, PardEvent};
-use pard_sim::audit::{self, AuditConfig, AuditKind, Auditor};
+use pard_sim::audit::{AuditConfig, AuditKind, Auditor};
 use pard_sim::RunConfig;
 use pard_workloads::{CacheFlush, DiskCopy, DiskCopyConfig};
 
@@ -86,6 +89,22 @@ fn audit_is_a_pure_observer_of_fig11() {
     );
     assert!(a.deliveries_observed() > 0, "both runs were audited");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fig_wfq_audits_clean_under_strict_audit() {
+    // The `fig_wfq` binary hands `RunConfig::from_env()` to both runs, so
+    // CI's `PARD_AUDIT=strict` step audits them: a short pair here, with
+    // a strict auditor of its own, must deliver events and find nothing.
+    let a = Arc::new(Auditor::new(AuditConfig::strict()).expect("create auditor"));
+    let (base, wfq) = fig_wfq_scenario::run_pair_with(3.0, 2_000, &audited(&a));
+    assert_eq!(
+        (base, wfq),
+        fig_wfq_scenario::run_pair(3.0, 2_000),
+        "auditing must be a pure observer of fig_wfq"
+    );
+    assert_eq!(a.violations_total(), 0, "{:?}", a.first_violation());
+    assert!(a.deliveries_observed() > 0, "both runs were audited");
 }
 
 #[test]
@@ -164,7 +183,7 @@ fn a_misrouted_packet_is_a_conservation_violation() {
             before + 1,
             "the misrouted packet must surface as a conservation violation"
         );
-        assert!(audit::unexpected_events() >= 1);
+        assert_eq!(server.sim_mut().unexpected_events(), 1);
         let first = a.first_violation().expect("a recorded violation");
         assert!(
             first.contains("\"check\":\"unexpected_event\"") && first.contains("\"nic\""),

@@ -1322,11 +1322,18 @@ mod tests {
         .unwrap();
         let mut eng = PolicyEngine::new(Arc::new(prog), 8);
 
-        // Full-width row: offsets resolve, nothing to report.
-        let before = audit::unexpected_events();
+        // Full-width row: offsets resolve, nothing to report. (The read
+        // runs under the run state below, so any report would count.)
+        let auditor = Arc::new(audit::Auditor::new(audit::AuditConfig::report()).unwrap());
+        let mut run = RunState::new(RunConfig {
+            auditor: Some(auditor.clone()),
+            ..RunConfig::default()
+        });
+        let lend = run.lend();
         let d = eng.decide(&req(1, ReqClass::Read, 64), &[7, 3, 1], &[], Time::ZERO);
         assert_eq!(d.rank, 7);
-        assert_eq!(audit::unexpected_events(), before);
+        drop(lend);
+        assert_eq!(run.unexpected_events(), 0);
 
         // The table "shrinks" under the installed program: the row the
         // engine is handed no longer covers the compiled offsets. The
@@ -1334,19 +1341,15 @@ mod tests {
         // layer (which also debug-panics when no auditor is lent, hence a
         // run state of this test's own with a report-mode auditor), then
         // evaluates as 0 so the decision stays total.
-        let auditor = Arc::new(audit::Auditor::new(audit::AuditConfig::report()).unwrap());
-        let mut run = RunState::new(RunConfig {
-            auditor: Some(auditor.clone()),
-            ..RunConfig::default()
-        });
         let lend = run.lend();
         let d = eng.decide(&req(1, ReqClass::Read, 64), &[7], &[], Time::ZERO);
         // wfq_weight read 0 → first rule fails → rank param.bandwidth,
         // also out of range → rank 0.
         assert_eq!(d.rank, 0);
+        drop(lend);
         assert_eq!(
-            audit::unexpected_events(),
-            before + 2,
+            run.unexpected_events(),
+            2,
             "both out-of-range offset reads must be counted"
         );
         assert_eq!(
@@ -1354,7 +1357,6 @@ mod tests {
             2,
             "a lent auditor must record the contract violation"
         );
-        drop(lend);
     }
 
     #[test]

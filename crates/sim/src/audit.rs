@@ -201,10 +201,6 @@ impl std::fmt::Debug for Auditor {
     }
 }
 
-/// Catch-all protocol-violation arms hit; counted even when auditing is
-/// off so release builds no longer swallow misrouted packets silently.
-static UNEXPECTED: AtomicU64 = AtomicU64::new(0);
-
 /// A conservation flow: the path a tagged packet takes from its
 /// injection point to its terminal consumer. Rendered as the `domain`
 /// field of violation lines.
@@ -599,12 +595,16 @@ pub fn irq_settle(vector: u8, ds: u16, time: Time, stage: &'static str) {
 
 /// Reports an event arriving at a component that has no protocol arm for
 /// it — the misrouted-packet case that release builds used to swallow
-/// behind `debug_assert!(false)`. Always counted (see
-/// [`unexpected_events`]); reported as a conservation violation when the
-/// auditor is on, and kept as a debug-build panic when it is off so
-/// uninstrumented test runs still fail loudly.
+/// behind `debug_assert!(false)`. Always counted, on the run state lent
+/// to the calling thread ([`RunState::unexpected_events`],
+/// [`Simulation::unexpected_events`](crate::Simulation::unexpected_events));
+/// reported as a conservation violation when the auditor is on, and kept
+/// as a debug-build panic when it is off so uninstrumented test runs
+/// still fail loudly.
+///
+/// [`RunState::unexpected_events`]: crate::RunState::unexpected_events
 pub fn unexpected_event(component: &'static str, kind: &'static str, time: Time, ds: u16) {
-    UNEXPECTED.fetch_add(1, Ordering::Relaxed);
+    run::count_unexpected();
     if enabled() {
         violation(
             AuditKind::Conservation,
@@ -632,12 +632,6 @@ pub(crate) fn add_deliveries(n: u64) {
             }
         });
     }
-}
-
-/// Unexpected-event arms hit since process start (counted even with
-/// auditing off).
-pub fn unexpected_events() -> u64 {
-    UNEXPECTED.load(Ordering::Relaxed)
 }
 
 /// Packets (and outstanding interrupts) currently in flight on the ledger
@@ -687,7 +681,7 @@ mod tests {
     fn report_mode_records_violations_and_keeps_the_ledger() {
         let a = auditor(AuditConfig::report());
         let mut state = run_state(&a);
-        let _lend = state.lend();
+        let lend = state.lend();
         assert!(enabled());
         assert!(!strict());
 
@@ -747,8 +741,41 @@ mod tests {
         // Unexpected events are conservation violations while enabled.
         unexpected_event("nic", "mem_req", Time::from_ns(5), 2);
         assert_eq!(a.violations_by_kind(AuditKind::Conservation), 3);
-        assert!(unexpected_events() >= 1);
         assert_eq!(a.violations_total(), 6);
+        drop(lend);
+        assert_eq!(state.unexpected_events(), 1);
+    }
+
+    #[test]
+    fn unexpected_events_count_on_the_innermost_lent_state() {
+        let a = auditor(AuditConfig::report());
+        let (mut outer, mut inner) = (run_state(&a), run_state(&a));
+        {
+            let _outer = outer.lend();
+            unexpected_event("llc", "disk_req", Time::ZERO, 1);
+            {
+                let _inner = inner.lend();
+                unexpected_event("nic", "mem_req", Time::ZERO, 2);
+                unexpected_event("nic", "mem_req", Time::ZERO, 2);
+            }
+            unexpected_event("llc", "disk_req", Time::ZERO, 1);
+        }
+        assert_eq!(
+            (outer.unexpected_events(), inner.unexpected_events()),
+            (2, 2)
+        );
+        assert_eq!(a.violations_total(), 4);
+
+        // A state that observes nothing is not swapped in, and still
+        // counts (debug builds then panic, as documented).
+        let mut bare = RunState::new(RunConfig::default());
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _bare = bare.lend();
+            unexpected_event("bridge", "net_frame", Time::ZERO, 0);
+        }));
+        assert_eq!(r.is_err(), cfg!(debug_assertions));
+        assert_eq!(bare.unexpected_events(), 1);
+        assert_eq!(outer.unexpected_events(), 2);
     }
 
     #[test]

@@ -10,12 +10,25 @@
 //! ```
 //!
 //! where `seq` is the monotonic insertion number and `slot` indexes a
-//! payload slab holding each pending event's `(ComponentId, E)`. Sifts
-//! move 16-byte keys instead of whole events, and one integer compare
-//! orders two events: `seq` is unique and sits above `slot`, so key order
-//! is exactly `(time, seq)` order. Popped slots go on a free list and are
-//! reused by the next push, so the slab never grows past the peak number
-//! of pending events and steady-state operation allocates nothing.
+//! payload slab holding each pending event's payload and destination.
+//! Sifts move 16-byte keys instead of whole events, and one integer
+//! compare orders two events: `seq` is unique and sits above `slot`, so
+//! key order is exactly `(time, seq)` order. Popped slots go on a free
+//! list and are reused by the next push, so the slab never grows past the
+//! peak number of pending events and steady-state operation allocates
+//! nothing.
+//!
+//! Each payload is written once and read once. [`EventQueue::push`] is a
+//! small inlined body — an out-of-line slot claim, the payload store, an
+//! out-of-line key sift — so a sender's freshly built event is stored
+//! straight into its slot. The kernel pops only the key ([`Due`]), shows
+//! its observer the payload in place, and then [`takes`](EventQueue::take)
+//! it out of the slot straight into the handler call. Copying the payload
+//! between temporaries instead costs a store-forwarding stall per copy:
+//! each wide load spans the narrower stores that built the event just
+//! before (`DESIGN.md` §8). For the same reason a slot marks itself
+//! occupied outside the payload ([`Slot`]), so the payload moves as one
+//! contiguous block.
 //!
 //! A pop leaves the root vacant and the next push sifts its key down from
 //! there. A delivered event usually schedules the next one a few
@@ -74,6 +87,42 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
+/// A popped event's key: when and where it is due. Its payload stays in
+/// the queue's slab until [`EventQueue::take`] moves it out, so the
+/// kernel reads each payload once, straight into the handler call.
+#[must_use = "a popped event's payload must be taken"]
+pub(crate) struct Due {
+    /// Delivery time.
+    pub(crate) time: Time,
+    /// Monotonic insertion sequence number.
+    pub(crate) seq: u64,
+    /// Destination component.
+    pub(crate) dst: ComponentId,
+    /// The payload's slot.
+    slot: u32,
+}
+
+/// An occupied slab slot.
+#[derive(Debug)]
+struct Slot<E> {
+    event: E,
+    dst: ComponentId,
+    /// Gives `Option<Slot<E>>` its niche here rather than in `event`'s
+    /// own tag: an enum payload's niche would make emptying the slot
+    /// overwrite the payload's first byte, and the move out of the slot
+    /// would then copy the payload as that byte plus misaligned chunks,
+    /// which the handler's reads of the fields cannot be forwarded from.
+    _occupied: Occupied,
+}
+
+/// A one-byte marker with 255 invalid values: a larger niche than any
+/// enum tag with two or more variants offers.
+#[derive(Debug)]
+#[repr(u8)]
+enum Occupied {
+    Yes = 1,
+}
+
 /// Bits of a key holding the payload slot: at most `2^24` pending events.
 const SLOT_BITS: u32 = 24;
 /// Bits of a key holding `seq`: at most `2^40` pushes per queue.
@@ -110,7 +159,7 @@ pub struct EventQueue<E> {
     vacant_root: bool,
     /// Payload slab, indexed by a key's low [`SLOT_BITS`] bits. `None`
     /// marks a free slot.
-    slots: Vec<Option<(ComponentId, E)>>,
+    slots: Vec<Option<Slot<E>>>,
     /// Free slot indices, reused last-freed first.
     free: Vec<u32>,
     next_seq: u64,
@@ -143,6 +192,21 @@ impl<E> EventQueue<E> {
     /// limits of `2^24` pending events or `2^40` pushes.
     #[inline]
     pub fn push(&mut self, time: Time, dst: ComponentId, event: E) {
+        // Only the payload store is inlined into the sender, so the
+        // event is built directly in its slot.
+        let key = self.claim(time, dst);
+        self.slots[(key as u64 & SLOT_MASK) as usize] = Some(Slot {
+            event,
+            dst,
+            _occupied: Occupied::Yes,
+        });
+        self.insert(key);
+    }
+
+    /// Claims a free slot for an event due at `time` for `dst` and returns
+    /// the event's key. The slot store is the caller's.
+    #[inline(never)]
+    fn claim(&mut self, time: Time, dst: ComponentId) -> u128 {
         assert!(
             !dst.is_unwired(),
             "event scheduled for an unwired component port"
@@ -154,21 +218,24 @@ impl<E> EventQueue<E> {
         );
         self.next_seq += 1;
         let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some((dst, event));
-                slot as u64
-            }
+            Some(slot) => slot as u64,
             None => {
                 let slot = self.slots.len() as u64;
                 assert!(
                     slot <= SLOT_MASK,
                     "event queue exceeded 2^{SLOT_BITS} pending events"
                 );
-                self.slots.push(Some((dst, event)));
+                self.slots.push(None);
                 slot
             }
         };
-        let key = (time.units() as u128) << 64 | (seq << SLOT_BITS | slot) as u128;
+        (time.units() as u128) << 64 | (seq << SLOT_BITS | slot) as u128
+    }
+
+    /// Inserts a claimed key into the heap: into a vacant root, or as a
+    /// new leaf.
+    #[inline(never)]
+    fn insert(&mut self, key: u128) {
         if self.vacant_root {
             self.vacant_root = false;
             self.sift_down_root(key);
@@ -268,6 +335,24 @@ impl<E> EventQueue<E> {
     /// `deadline`; otherwise leaves the queue untouched and returns `None`.
     #[inline]
     pub fn pop_until(&mut self, deadline: Time) -> Option<ScheduledEvent<E>> {
+        let due = self.pop_due(deadline)?;
+        let (time, seq, dst) = (due.time, due.seq, due.dst);
+        Some(ScheduledEvent {
+            time,
+            seq,
+            dst,
+            event: self.take(due),
+        })
+    }
+
+    /// Removes the earliest event's key if it is due at or before
+    /// `deadline`, leaving its payload in its slot for [`payload`] and
+    /// [`take`]; otherwise leaves the queue untouched and returns `None`.
+    ///
+    /// [`payload`]: EventQueue::payload
+    /// [`take`]: EventQueue::take
+    #[inline]
+    pub(crate) fn pop_due(&mut self, deadline: Time) -> Option<Due> {
         if self.vacant_root {
             self.fill_root();
         }
@@ -278,16 +363,39 @@ impl<E> EventQueue<E> {
         self.vacant_root = true;
         let low = top as u64;
         let slot = (low & SLOT_MASK) as u32;
-        let (dst, event) = self.slots[slot as usize]
-            .take()
-            .expect("a queued key owns its slot");
-        self.free.push(slot);
-        Some(ScheduledEvent {
+        Some(Due {
             time: Time::from_units((top >> 64) as u64),
             seq: low >> SLOT_BITS,
-            dst,
-            event,
+            dst: self.slot(slot).dst,
+            slot,
         })
+    }
+
+    /// The occupied slot `slot`.
+    #[inline]
+    fn slot(&self, slot: u32) -> &Slot<E> {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("a queued key owns its slot")
+    }
+
+    /// The payload of a popped event, in place.
+    #[inline]
+    pub(crate) fn payload(&self, due: &Due) -> &E {
+        &self.slot(due.slot).event
+    }
+
+    /// Moves a popped event's payload out of its slot and frees the slot
+    /// for the next push.
+    #[inline]
+    pub(crate) fn take(&mut self, due: Due) -> E {
+        // Free the slot first: the free list's possible growth then
+        // cannot separate the payload's load from its use.
+        self.free.push(due.slot);
+        self.slots[due.slot as usize]
+            .take()
+            .expect("a popped key owns its slot")
+            .event
     }
 
     /// The timestamp of the earliest pending event.

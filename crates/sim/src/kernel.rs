@@ -9,7 +9,7 @@
 
 use crate::audit;
 use crate::component::{Component, ComponentId};
-use crate::event::{EventQueue, ScheduledEvent};
+use crate::event::{Due, EventQueue};
 use crate::run::{Lend, RunConfig, RunState};
 use crate::time::Time;
 use crate::trace::TraceVal;
@@ -188,6 +188,13 @@ impl<E: 'static> Simulation<E> {
         self.kernel.events_processed
     }
 
+    /// Events this machine's components received without a protocol arm
+    /// for them ([`audit::unexpected_event`]), counted whether or not the
+    /// machine is audited.
+    pub fn unexpected_events(&self) -> u64 {
+        self.run.unexpected_events()
+    }
+
     /// Number of registered components.
     pub fn component_count(&self) -> usize {
         self.kernel.components.len()
@@ -264,75 +271,86 @@ impl<E: 'static> Default for Simulation<E> {
 
 impl<E: 'static> Kernel<E> {
     fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        let Some(due) = self.queue.pop_due(Time::MAX) else {
             return false;
         };
-        self.deliver(ev);
+        self.deliver(due);
         true
     }
 
     /// Delivers one popped event: audit, clock, hook, then the
-    /// destination component's `handle`.
+    /// destination component's `handle`. The hook sees the payload in its
+    /// slot; the payload then moves out of the slot once, straight into
+    /// `handle`.
     #[inline]
-    fn deliver(&mut self, ev: ScheduledEvent<E>) {
-        debug_assert!(ev.time >= self.now, "event queue produced a past event");
+    fn deliver(&mut self, due: Due) {
+        debug_assert!(due.time >= self.now, "event queue produced a past event");
         if audit::enabled() {
-            // Invariant 6: time never runs backwards, and deliveries come
-            // in exact lexicographic (time, seq) order.
-            if ev.time < self.now {
-                audit::violation(
-                    audit::AuditKind::Clock,
-                    ev.time,
-                    u16::MAX,
-                    "past_event",
-                    &[
-                        ("now_units", TraceVal::U(self.now.units())),
-                        ("seq", TraceVal::U(ev.seq)),
-                    ],
-                );
-            }
-            if let Some((last_time, last_seq)) = self.audit_last {
-                if (ev.time, ev.seq) <= (last_time, last_seq) {
-                    audit::violation(
-                        audit::AuditKind::Clock,
-                        ev.time,
-                        u16::MAX,
-                        "delivery_order",
-                        &[
-                            ("seq", TraceVal::U(ev.seq)),
-                            ("last_seq", TraceVal::U(last_seq)),
-                            ("last_units", TraceVal::U(last_time.units())),
-                        ],
-                    );
-                }
-            }
-            self.audit_last = Some((ev.time, ev.seq));
+            self.audit_order(&due);
         }
-        self.now = ev.time;
+        self.now = due.time;
         self.events_processed += 1;
         if let Some(hook) = &mut self.event_hook {
             if self.hook_left == 0 {
                 self.hook_left = self.hook_every - 1;
-                hook(self.now, ev.dst, &ev.event);
+                hook(self.now, due.dst, self.queue.payload(&due));
             } else {
                 self.hook_left -= 1;
             }
         }
 
-        // The component is borrowed in place: `Ctx` borrows only the
+        // The payload leaves its slot before the handler can push into
+        // it. The component is borrowed in place: `Ctx` borrows only the
         // queue and the stop flag, disjoint fields of the kernel, so the
         // component can schedule events to any component (itself too).
+        let dst = due.dst;
+        let event = self.queue.take(due);
         let component = self
             .components
-            .get_mut(ev.dst.raw() as usize)
-            .unwrap_or_else(|| panic!("event delivered to missing component {:?}", ev.dst));
+            .get_mut(dst.raw() as usize)
+            .unwrap_or_else(|| panic!("event delivered to missing component {dst:?}"));
         let mut ctx = Ctx {
             now: self.now,
-            self_id: ev.dst,
+            self_id: dst,
             queue: &mut self.queue,
             stop_requested: &mut self.stop_requested,
         };
-        component.handle(ev.event, &mut ctx);
+        component.handle(event, &mut ctx);
+    }
+
+    /// Invariant 6: time never runs backwards, and deliveries come in
+    /// exact lexicographic (time, seq) order. Out of line: only audited
+    /// runs reach it.
+    #[inline(never)]
+    fn audit_order(&mut self, due: &Due) {
+        if due.time < self.now {
+            audit::violation(
+                audit::AuditKind::Clock,
+                due.time,
+                u16::MAX,
+                "past_event",
+                &[
+                    ("now_units", TraceVal::U(self.now.units())),
+                    ("seq", TraceVal::U(due.seq)),
+                ],
+            );
+        }
+        if let Some((last_time, last_seq)) = self.audit_last {
+            if (due.time, due.seq) <= (last_time, last_seq) {
+                audit::violation(
+                    audit::AuditKind::Clock,
+                    due.time,
+                    u16::MAX,
+                    "delivery_order",
+                    &[
+                        ("seq", TraceVal::U(due.seq)),
+                        ("last_seq", TraceVal::U(last_seq)),
+                        ("last_units", TraceVal::U(last_time.units())),
+                    ],
+                );
+            }
+        }
+        self.audit_last = Some((due.time, due.seq));
     }
 
     /// Consumes a pending stop request, clearing the flag.
@@ -359,8 +377,8 @@ impl<E: 'static> Kernel<E> {
             if self.take_stop() {
                 return;
             }
-            match self.queue.pop_until(deadline) {
-                Some(ev) => self.deliver(ev),
+            match self.queue.pop_due(deadline) {
+                Some(due) => self.deliver(due),
                 None => {
                     // Advance the clock to the deadline even if idle, so that
                     // successive run_until calls observe monotonic time.
@@ -379,6 +397,7 @@ mod tests {
     use super::*;
     use crate::impl_as_any;
     use crate::sync::Mutex;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -518,6 +537,69 @@ mod tests {
         let (mut sim, _) = build(1);
         sim.post(ComponentId::from_raw(7), Time::ZERO, Msg::Ping);
         sim.run();
+    }
+
+    /// A payload that counts its own drops.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Consumes (and so drops) every payload it is handed.
+    struct Sink;
+    impl Component<Counted> for Sink {
+        fn name(&self) -> &str {
+            "sink"
+        }
+        fn handle(&mut self, _ev: Counted, _ctx: &mut Ctx<'_, Counted>) {}
+        impl_as_any!();
+    }
+
+    fn counted_machine(posts: u64) -> (Simulation<Counted>, ComponentId, Arc<AtomicUsize>) {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut sim = Simulation::new();
+        let id = sim.add_component(Box::new(Sink));
+        for i in 0..posts {
+            sim.post(id, Time::from_ns(i), Counted(drops.clone()));
+        }
+        (sim, id, drops)
+    }
+
+    #[test]
+    fn pending_payloads_drop_once_with_the_machine() {
+        let (mut sim, _, drops) = counted_machine(5);
+        // The sink pushes nothing, so each step leaves the heap's root
+        // vacant; the delivered payload is the handler's to drop.
+        assert!(sim.step());
+        assert!(sim.step());
+        assert_eq!(drops.load(Ordering::Relaxed), 2);
+        drop(sim);
+        assert_eq!(drops.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn a_payload_for_a_missing_component_drops_once() {
+        let (mut sim, id, drops) = counted_machine(2);
+        sim.post(
+            ComponentId::from_raw(id.raw() + 1),
+            Time::ZERO,
+            Counted(drops.clone()),
+        );
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+            .expect_err("delivery to a missing component panics");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(
+            msg.contains("event delivered to missing component"),
+            "{msg}"
+        );
+        // The first post was delivered, the misrouted one dropped while
+        // unwinding; the last is still pending.
+        assert_eq!(drops.load(Ordering::Relaxed), 2);
+        drop(sim);
+        assert_eq!(drops.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! unwinds. Machines interleaved on one thread, or moved between threads
 //! (the fleet's `par_map`), therefore keep their own configuration,
 //! ledger, sample subset and fault decisions. Outside any lend nothing is
-//! traced, audited or faulted. See `DESIGN.md` §10.
+//! traced, audited or faulted. Unexpected events
+//! ([`crate::audit::unexpected_event`]) are counted on the lent state
+//! whatever its configuration. See `DESIGN.md` §10.
 //!
 //! The only process-wide configuration is what [`RunConfig::from_env`]
 //! reads once, the default of every `PardServer`.
@@ -96,13 +98,17 @@ impl RunConfig {
 pub(crate) static ENV: OnceLock<RunConfig> = OnceLock::new();
 
 /// One simulated machine's configuration and run state: the conservation
-/// ledger, the trace sample countdowns and the fault decisions.
+/// ledger, the trace sample countdowns, the fault decisions and the
+/// unexpected-event count.
 pub struct RunState {
     pub(crate) config: RunConfig,
     guard: u32,
     pub(crate) ledger: audit::Ledger,
     pub(crate) sampler: trace::Sampler,
     pub(crate) faults: fault::Decisions,
+    /// Unexpected-event arms hit while this state was lent, counted
+    /// whatever the configuration (see [`audit::unexpected_event`]).
+    unexpected: u64,
 }
 
 impl RunState {
@@ -117,6 +123,7 @@ impl RunState {
         ledger: audit::Ledger::EMPTY,
         sampler: trace::Sampler::EMPTY,
         faults: fault::Decisions::EMPTY,
+        unexpected: 0,
     };
 
     /// A fresh run state under `config`.
@@ -128,22 +135,33 @@ impl RunState {
         }
     }
 
+    /// Unexpected-event arms hit while this state was lent (see
+    /// [`audit::unexpected_event`]); counted whether or not anything is
+    /// traced or audited.
+    pub fn unexpected_events(&self) -> u64 {
+        self.unexpected
+    }
+
     /// Lends this state to the calling thread until the returned guard
-    /// drops: trace emission, ledger operations and fault decisions on
-    /// this thread act on it meanwhile. Lends nest (the guard restores
-    /// whatever was active before). Costs one thread-local read when
-    /// neither this state nor the one active observes anything.
+    /// drops: trace emission, ledger operations, fault decisions and
+    /// unexpected events on this thread act on it meanwhile. Lends nest
+    /// (the guard restores whatever was active before). Costs two
+    /// thread-local reads when neither this state nor the one active
+    /// observes anything.
     #[inline]
     pub fn lend(&mut self) -> Lend<'_> {
         let outer = guard();
-        if self.guard == 0 && outer == 0 {
-            return Lend { state: None, outer };
+        let unexpected = UNEXPECTED.with(Cell::get);
+        let swapped = self.guard != 0 || outer != 0;
+        if swapped {
+            GUARD.with(|g| g.set(self.guard));
+            ACTIVE.with(|a| std::mem::swap(&mut *a.borrow_mut(), self));
         }
-        GUARD.with(|g| g.set(self.guard));
-        ACTIVE.with(|a| std::mem::swap(&mut *a.borrow_mut(), self));
         Lend {
-            state: Some(self),
+            state: self,
+            swapped,
             outer,
+            unexpected,
         }
     }
 }
@@ -151,17 +169,26 @@ impl RunState {
 /// A run state lent to the calling thread by [`RunState::lend`];
 /// dropping it hands the state back.
 pub struct Lend<'a> {
-    state: Option<&'a mut RunState>,
+    state: &'a mut RunState,
+    /// The state sits in [`ACTIVE`] (something is observed).
+    swapped: bool,
     outer: u32,
+    /// The thread's unexpected-event tally when the lend began.
+    unexpected: u64,
 }
 
 impl Drop for Lend<'_> {
     #[inline]
     fn drop(&mut self) {
-        if let Some(state) = self.state.take() {
-            ACTIVE.with(|a| std::mem::swap(&mut *a.borrow_mut(), state));
+        if self.swapped {
+            ACTIVE.with(|a| std::mem::swap(&mut *a.borrow_mut(), self.state));
             GUARD.with(|g| g.set(self.outer));
         }
+        // Events counted during the lend are this state's; the tally
+        // goes back to its value at the lend, so an enclosing lend does
+        // not count them again.
+        let now = UNEXPECTED.with(|u| u.replace(self.unexpected));
+        self.state.unexpected += now - self.unexpected;
     }
 }
 
@@ -170,6 +197,15 @@ thread_local! {
     static GUARD: Cell<u32> = const { Cell::new(0) };
     /// The run state lent to this thread, or [`RunState::EMPTY`].
     static ACTIVE: RefCell<RunState> = const { RefCell::new(RunState::EMPTY) };
+    /// Unexpected events counted on this thread; each [`Lend`] moves the
+    /// ones counted during it into its state when it drops.
+    static UNEXPECTED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one unexpected event against the run state lent to the calling
+/// thread.
+pub(crate) fn count_unexpected() {
+    UNEXPECTED.with(|u| u.set(u.get() + 1));
 }
 
 /// The calling thread's guard word: one thread-local read.

@@ -5,7 +5,8 @@
 //! bits of the key can order, and delays from a few units to far-future
 //! timers — and a [`Simulation`] driving
 //! components must deliver the exact schedule of a reference executor,
-//! however its run is sliced into calls.
+//! however its run is sliced into calls and whichever driver (`step`,
+//! `run`, `run_until`) runs it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -257,4 +258,103 @@ fn seeded_random_schedules_match_reference_across_call_boundaries() {
         assert_eq!(kernel_log(n, &seeds, &[], until), reference);
         assert_eq!(kernel_log(n, &seeds, &cuts, until), reference);
     });
+}
+
+/// A node that logs every delivery it handles, then forwards like
+/// [`Node`].
+struct LoggingNode {
+    fanout: u32,
+    log: Arc<Mutex<Vec<Delivery>>>,
+}
+
+impl Component<u64> for LoggingNode {
+    fn name(&self) -> &str {
+        "logging-node"
+    }
+    fn handle(&mut self, ev: u64, ctx: &mut Ctx<'_, u64>) {
+        let me = ctx.self_id().raw();
+        self.log.lock().unwrap().push((ctx.now().units(), me, ev));
+        if ev > 0 {
+            let (dst, delay) = forward(me, ev, self.fanout);
+            ctx.send(ComponentId::from_raw(dst), Time::from_units(delay), ev - 1);
+        }
+    }
+    pard_sim::impl_as_any!();
+}
+
+/// How a test drives a simulation to the end of its schedule.
+#[derive(Clone, Copy, Debug)]
+enum Driver {
+    Step,
+    Run,
+    Slices(u64),
+}
+
+/// The deliveries the handlers and the hook saw, driving `n` logging
+/// nodes seeded with `seeds` to completion with `driver`.
+fn driven_logs(n: u32, seeds: &[(u32, u64, u64)], driver: Driver, end: u64) -> [Vec<Delivery>; 2] {
+    let handled = Arc::new(Mutex::new(Vec::new()));
+    let hooked = Arc::new(Mutex::new(Vec::new()));
+    let mut sim: Simulation<u64> = Simulation::new();
+    for _ in 0..n {
+        sim.add_component(Box::new(LoggingNode {
+            fanout: n,
+            log: Arc::clone(&handled),
+        }));
+    }
+    for &(dst, at, payload) in seeds {
+        sim.post(ComponentId::from_raw(dst), Time::from_units(at), payload);
+    }
+    let sink = Arc::clone(&hooked);
+    sim.set_event_hook(Some(Box::new(move |t, dst, ev: &u64| {
+        sink.lock().unwrap().push((t.units(), dst.raw(), *ev));
+    })));
+    match driver {
+        Driver::Step => while sim.step() {},
+        Driver::Run => sim.run(),
+        Driver::Slices(k) => {
+            for i in 1..=k {
+                sim.run_until(Time::from_units(end * i / k));
+            }
+            assert!(!sim.step(), "the slices drain the schedule");
+        }
+    }
+    let logs = [handled, hooked].map(|l| l.lock().unwrap().clone());
+    assert_eq!(logs[0].len() as u64, sim.events_processed());
+    logs
+}
+
+/// One seeded multi-component schedule delivered by a `step()` loop, by
+/// `run()` and by 1,000 `run_until` slices: every driver must hand the
+/// handlers and the hook the identical `(time, dst, payload)` sequence,
+/// the reference executor's.
+#[test]
+fn every_driver_delivers_the_same_schedule() {
+    let mut rng = pard_sim::rng::stream_rng(20, "event_order.drivers");
+    let n = 6u32;
+    let seeds: Vec<(u32, u64, u64)> = (0..40)
+        .map(|_| {
+            (
+                rng.gen_range(0..n),
+                rng.gen_range(0u64..200) * HOP / 4,
+                rng.gen_range(0u64..60),
+            )
+        })
+        .collect();
+    let end = 400 * HOP;
+    let reference = reference_log(n, &seeds, end);
+    assert!(
+        reference.len() > 1_000,
+        "a long schedule ({})",
+        reference.len()
+    );
+    assert!(
+        reference.last().unwrap().0 < end,
+        "the schedule ends before `end`"
+    );
+    for driver in [Driver::Step, Driver::Run, Driver::Slices(1_000)] {
+        let [handled, hooked] = driven_logs(n, &seeds, driver, end);
+        assert_eq!(handled, reference, "{driver:?}: handler deliveries");
+        assert_eq!(hooked, reference, "{driver:?}: hook deliveries");
+    }
 }
