@@ -169,7 +169,7 @@ scratch="$(mktemp -d)"
 rm -rf "$scratch"
 echo "ok: fig_wfq.json and fig_slo.json reproduced byte-identically under strict audit"
 
-echo "== fig_fleet golden: federated-fleet sweep matches committed JSON at PARD_THREADS=4 =="
+echo "== fig_fleet golden: federated-fleet sweep matches committed JSON at PARD_THREADS=4 and 2 =="
 # The rack-scale consolidation sweep runs three whole machines in
 # parallel per epoch and re-shards/migrates tenants between epochs; the
 # golden pins the whole federation — parallel machine stepping, seeded
@@ -180,9 +180,15 @@ scratch="$(mktemp -d)"
     cd "$scratch"
     PARD_THREADS=4 PARD_AUDIT=strict "$repo/target/release/fig_fleet" >/dev/null
     cmp fig_fleet.json "$repo/fig_fleet.json"
+    # Three machines on two workers: each epoch's run_until slices move
+    # between threads (least-advanced machine first), and the bytes must
+    # not notice.
+    rm fig_fleet.json
+    PARD_THREADS=2 PARD_AUDIT=strict "$repo/target/release/fig_fleet" >/dev/null
+    cmp fig_fleet.json "$repo/fig_fleet.json"
 )
 rm -rf "$scratch"
-echo "ok: fig_fleet.json reproduced byte-identically under strict audit"
+echo "ok: fig_fleet.json reproduced byte-identically under strict audit at 4 and 2 threads"
 
 echo "== golden-coverage gate: every committed fig*.json is documented in EXPERIMENTS.md =="
 # A golden that CI compares against but no document explains is how

@@ -46,12 +46,16 @@ fn fleet_runs_replay_byte_identically_and_reactions_recover_the_slo() {
 
     std::env::set_var("PARD_THREADS", "1");
     let one = sweep_json(&base, &ratio4_pair(&base)).to_string_pretty();
+    // Three machines on two workers: epoch slices move between threads.
+    std::env::set_var("PARD_THREADS", "2");
+    let two = sweep_json(&base, &ratio4_pair(&base)).to_string_pretty();
     std::env::set_var("PARD_THREADS", "4");
     let cells = ratio4_pair(&base);
     let four = sweep_json(&base, &cells).to_string_pretty();
     let again = sweep_json(&base, &ratio4_pair(&base)).to_string_pretty();
     std::env::remove_var("PARD_THREADS");
 
+    assert_eq!(one, two, "fleet bytes must not depend on PARD_THREADS");
     assert_eq!(one, four, "fleet bytes must not depend on PARD_THREADS");
     assert_eq!(four, again, "a fleet rerun must replay bit-for-bit");
 

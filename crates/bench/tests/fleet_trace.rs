@@ -1,8 +1,9 @@
 //! A traced, fault-injected fleet replays byte for byte at every
 //! `PARD_THREADS` setting.
 //!
-//! `run_fleet` steps its machines in parallel each epoch, so a machine
-//! runs on whichever `par_map` worker picks it up. Each machine's trace
+//! `run_fleet` steps its machines in parallel each epoch, so each slice
+//! of a machine's epoch runs on whichever `par_slices` worker picks it
+//! up. Each machine's trace
 //! sample countdowns and fault decisions travel with it (the lent run
 //! state), so the fleet's outcome and the *set* of trace lines it keeps
 //! are the same at 1 and 4 workers, and at the ambient setting (CI runs

@@ -5,14 +5,6 @@ use pard_icn::{DsId, LAddr};
 use crate::geometry::CacheGeometry;
 use crate::plru::PlruTree;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Entry {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    owner: DsId,
-}
-
 /// A block evicted by a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Victim {
@@ -42,6 +34,10 @@ pub struct FillOutcome {
 /// (paper footnote 4) — different LDoms use identical numeric addresses
 /// for different data.
 ///
+/// Layout: each set keeps its valid and dirty bits as way masks beside its
+/// PLRU tree; tags live in a per-way array scanned on lookup, and owners
+/// in a parallel array read only on a tag match.
+///
 /// # Example
 ///
 /// ```
@@ -58,19 +54,37 @@ pub struct FillOutcome {
 #[derive(Debug, Clone)]
 pub struct TagArray {
     geom: CacheGeometry,
-    entries: Vec<Entry>,
-    plru: Vec<PlruTree>,
+    sets: Vec<SetState>,
+    /// Tag per block, `ways` consecutive entries per set.
+    tags: Vec<u64>,
+    /// Owner DS-id per block, parallel to `tags`.
+    owners: Vec<DsId>,
     owned_lines: Vec<u64>,
+}
+
+/// One set's state bits: way masks of valid and dirty blocks, and the
+/// replacement tree.
+#[derive(Debug, Clone, Copy)]
+struct SetState {
+    valid: u64,
+    dirty: u64,
+    plru: PlruTree,
 }
 
 impl TagArray {
     /// Creates an empty array supporting DS-ids `0..max_ds`.
     pub fn new(geom: CacheGeometry, max_ds: usize) -> Self {
         let lines = geom.lines() as usize;
+        let set = SetState {
+            valid: 0,
+            dirty: 0,
+            plru: PlruTree::new(geom.ways()),
+        };
         TagArray {
             geom,
-            entries: vec![Entry::default(); lines],
-            plru: vec![PlruTree::new(geom.ways()); geom.sets() as usize],
+            sets: vec![set; geom.sets() as usize],
+            tags: vec![0; lines],
+            owners: vec![DsId::default(); lines],
             owned_lines: vec![0; max_ds],
         }
     }
@@ -80,32 +94,39 @@ impl TagArray {
         &self.geom
     }
 
+    /// Index of `set`'s first block in `tags` / `owners`.
     #[inline]
-    fn idx(&self, set: u64, way: u32) -> usize {
-        (set * u64::from(self.geom.ways()) + u64::from(way)) as usize
+    fn base(&self, set: u64) -> usize {
+        set as usize * self.geom.ways() as usize
+    }
+
+    /// The way holding `(ds, tag)` in `set`, if any.
+    #[inline]
+    fn find(&self, set: u64, tag: u64, ds: DsId) -> Option<u32> {
+        let base = self.base(set);
+        let valid = self.sets[set as usize].valid;
+        let tags = &self.tags[base..base + self.geom.ways() as usize];
+        (0..tags.len())
+            .find(|&w| tags[w] == tag && valid & (1 << w) != 0 && self.owners[base + w] == ds)
+            .map(|w| w as u32)
     }
 
     /// Probes for `(ds, addr)` without touching replacement state.
     pub fn probe(&self, ds: DsId, addr: LAddr) -> Option<u32> {
-        let set = self.geom.set_of(addr);
-        let tag = self.geom.tag_of(addr);
-        (0..self.geom.ways()).find(|&w| {
-            let e = &self.entries[self.idx(set, w)];
-            e.valid && e.tag == tag && e.owner == ds
-        })
+        self.find(self.geom.set_of(addr), self.geom.tag_of(addr), ds)
     }
 
     /// Performs a demand access: on hit, updates PLRU (and the dirty bit
     /// for writes) and returns `true`; on miss returns `false`.
     pub fn access(&mut self, ds: DsId, addr: LAddr, is_write: bool) -> bool {
-        let Some(way) = self.probe(ds, addr) else {
+        let set = self.geom.set_of(addr);
+        let Some(way) = self.find(set, self.geom.tag_of(addr), ds) else {
             return false;
         };
-        let set = self.geom.set_of(addr);
-        self.plru[set as usize].touch(way);
+        let s = &mut self.sets[set as usize];
+        s.plru.touch(way);
         if is_write {
-            let i = self.idx(set, way);
-            self.entries[i].dirty = true;
+            s.dirty |= 1 << way;
         }
         true
     }
@@ -113,13 +134,13 @@ impl TagArray {
     /// Marks `(ds, addr)` dirty if present (L1 writeback absorption).
     /// Returns whether the block was found.
     pub fn mark_dirty(&mut self, ds: DsId, addr: LAddr) -> bool {
-        let Some(way) = self.probe(ds, addr) else {
+        let set = self.geom.set_of(addr);
+        let Some(way) = self.find(set, self.geom.tag_of(addr), ds) else {
             return false;
         };
-        let set = self.geom.set_of(addr);
-        let i = self.idx(set, way);
-        self.entries[i].dirty = true;
-        self.plru[set as usize].touch(way);
+        let s = &mut self.sets[set as usize];
+        s.dirty |= 1 << way;
+        s.plru.touch(way);
         true
     }
 
@@ -150,36 +171,44 @@ impl TagArray {
             }
         };
 
-        // Prefer an invalid way inside the partition.
-        let way = (0..self.geom.ways())
-            .find(|&w| eff_mask & (1 << w) != 0 && !self.entries[self.idx(set, w)].valid)
-            .unwrap_or_else(|| self.plru[set as usize].victim(eff_mask));
+        // Prefer the lowest invalid way inside the partition.
+        let s = self.sets[set as usize];
+        let free = eff_mask & !s.valid;
+        let way = if free != 0 {
+            free.trailing_zeros()
+        } else {
+            s.plru.victim(eff_mask)
+        };
 
-        let i = self.idx(set, way);
-        let old = self.entries[i];
-        let evicted = if old.valid {
-            if let Some(c) = self.owned_lines.get_mut(old.owner.index()) {
+        let i = self.base(set) + way as usize;
+        let bit = 1u64 << way;
+        let evicted = if s.valid & bit != 0 {
+            let owner = self.owners[i];
+            if let Some(c) = self.owned_lines.get_mut(owner.index()) {
                 *c -= 1;
             }
             Some(Victim {
-                addr: self.geom.addr_of(old.tag, set),
-                owner: old.owner,
-                dirty: old.dirty,
+                addr: self.geom.addr_of(self.tags[i], set),
+                owner,
+                dirty: s.dirty & bit != 0,
             })
         } else {
             None
         };
 
-        self.entries[i] = Entry {
-            valid: true,
-            dirty,
-            tag,
-            owner: ds,
-        };
+        self.tags[i] = tag;
+        self.owners[i] = ds;
         if let Some(c) = self.owned_lines.get_mut(ds.index()) {
             *c += 1;
         }
-        self.plru[set as usize].touch(way);
+        let s = &mut self.sets[set as usize];
+        s.valid |= bit;
+        if dirty {
+            s.dirty |= bit;
+        } else {
+            s.dirty &= !bit;
+        }
+        s.plru.touch(way);
         FillOutcome { way, evicted }
     }
 
@@ -188,21 +217,28 @@ impl TagArray {
     pub fn invalidate_ds(&mut self, ds: DsId) -> Vec<Victim> {
         let mut dirty = Vec::new();
         for set in 0..self.geom.sets() {
-            for way in 0..self.geom.ways() {
-                let i = self.idx(set, way);
-                let e = self.entries[i];
-                if e.valid && e.owner == ds {
-                    if e.dirty {
-                        dirty.push(Victim {
-                            addr: self.geom.addr_of(e.tag, set),
-                            owner: ds,
-                            dirty: true,
-                        });
-                    }
-                    self.entries[i] = Entry::default();
-                    if let Some(c) = self.owned_lines.get_mut(ds.index()) {
-                        *c -= 1;
-                    }
+            let base = self.base(set);
+            let s = &mut self.sets[set as usize];
+            let mut live = s.valid;
+            while live != 0 {
+                let way = live.trailing_zeros();
+                live &= live - 1;
+                let i = base + way as usize;
+                if self.owners[i] != ds {
+                    continue;
+                }
+                let bit = 1u64 << way;
+                if s.dirty & bit != 0 {
+                    dirty.push(Victim {
+                        addr: self.geom.addr_of(self.tags[i], set),
+                        owner: ds,
+                        dirty: true,
+                    });
+                }
+                s.valid &= !bit;
+                s.dirty &= !bit;
+                if let Some(c) = self.owned_lines.get_mut(ds.index()) {
+                    *c -= 1;
                 }
             }
         }

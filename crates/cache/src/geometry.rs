@@ -18,6 +18,10 @@ pub struct CacheGeometry {
     ways: u32,
     line_bytes: u32,
     sets: u64,
+    /// `log2(line_bytes)`: address → line number.
+    line_shift: u32,
+    /// `log2(sets)`: line number → tag.
+    set_shift: u32,
 }
 
 impl CacheGeometry {
@@ -48,6 +52,8 @@ impl CacheGeometry {
             ways,
             line_bytes,
             sets,
+            line_shift: line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
         }
     }
 
@@ -79,19 +85,19 @@ impl CacheGeometry {
     /// Set index for an address.
     #[inline]
     pub fn set_of(&self, addr: LAddr) -> u64 {
-        (addr.raw() / u64::from(self.line_bytes)) & (self.sets - 1)
+        (addr.raw() >> self.line_shift) & (self.sets - 1)
     }
 
     /// Tag for an address (the line number above the index bits).
     #[inline]
     pub fn tag_of(&self, addr: LAddr) -> u64 {
-        (addr.raw() / u64::from(self.line_bytes)) / self.sets
+        addr.raw() >> (self.line_shift + self.set_shift)
     }
 
     /// Reconstructs a line-aligned address from `(tag, set)`.
     #[inline]
     pub fn addr_of(&self, tag: u64, set: u64) -> LAddr {
-        LAddr::new((tag * self.sets + set) * u64::from(self.line_bytes))
+        LAddr::new(((tag << self.set_shift) | set) << self.line_shift)
     }
 }
 
@@ -126,6 +132,31 @@ mod tests {
         let b = LAddr::new(64);
         assert_eq!(g.set_of(b), g.set_of(a) + 1);
         assert_eq!(g.tag_of(a), g.tag_of(b));
+    }
+
+    #[test]
+    fn shifts_agree_with_division() {
+        use pard_sim::check::{cases, DEFAULT_CASES};
+        use pard_sim::rng::Rng;
+        cases(
+            "cache.geometry_shifts_agree_with_division",
+            DEFAULT_CASES,
+            |rng| {
+                let ways = 1u32 << rng.gen_range(0u32..=6);
+                let line = 1u32 << rng.gen_range(0u32..=8);
+                let sets = 1u64 << rng.gen_range(0u32..=14);
+                let g = CacheGeometry::new(sets * u64::from(ways * line), ways, line);
+                for _ in 0..64 {
+                    let raw = rng.next_u64();
+                    let (line_no, l) = (raw / u64::from(line), u64::from(line));
+                    let (set, tag) = (line_no % sets, line_no / sets);
+                    let a = LAddr::new(raw);
+                    assert_eq!(g.set_of(a), set, "{g:?} {raw:#x}");
+                    assert_eq!(g.tag_of(a), tag, "{g:?} {raw:#x}");
+                    assert_eq!(g.addr_of(tag, set).raw(), (tag * sets + set) * l);
+                }
+            },
+        );
     }
 
     #[test]

@@ -381,7 +381,7 @@ impl Llc {
         }
 
         let fill_latency = self.cfg.fill_latency;
-        for w in waiters {
+        for w in &waiters {
             let out = MemResp {
                 id: w.id,
                 ds: key.ds,
@@ -391,6 +391,7 @@ impl Llc {
             self.responses_sent += 1;
             ctx.send(w.reply_to, fill_latency, PardEvent::MemResp(out));
         }
+        self.mshr.recycle(waiters);
     }
 
     #[inline]

@@ -54,12 +54,17 @@ pub enum MshrOutcome {
 /// let w = |i| pard_cache::mshr_waiter(PacketId(i), ComponentId::from_raw(0), false);
 /// assert_eq!(m.try_insert(key, w(1)), MshrOutcome::Allocated);
 /// assert_eq!(m.try_insert(key, w(2)), MshrOutcome::Merged);
-/// assert_eq!(m.complete(key).unwrap().len(), 2);
+/// let waiters = m.complete(key).unwrap();
+/// assert_eq!(waiters.len(), 2);
+/// m.recycle(waiters); // the next allocation reuses the list
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mshr {
     entries: WordMap<MshrKey, Vec<Waiter>>,
     capacity: usize,
+    /// Emptied waiter lists handed back by [`Mshr::recycle`], reused by
+    /// the next allocations so a miss does not allocate.
+    spare: Vec<Vec<Waiter>>,
 }
 
 /// Constructs a [`Waiter`] (free-function constructor keeps the struct's
@@ -83,6 +88,7 @@ impl Mshr {
         Mshr {
             entries: WordMap::default(),
             capacity,
+            spare: Vec::new(),
         }
     }
 
@@ -95,13 +101,25 @@ impl Mshr {
         if self.entries.len() >= self.capacity {
             return MshrOutcome::Full;
         }
-        self.entries.insert(key, vec![waiter]);
+        let mut waiters = self.spare.pop().unwrap_or_default();
+        waiters.push(waiter);
+        self.entries.insert(key, waiters);
         MshrOutcome::Allocated
     }
 
-    /// Completes the miss for `key`, returning its waiters.
+    /// Completes the miss for `key`, returning its waiters. Hand the list
+    /// back with [`Mshr::recycle`] once served.
     pub fn complete(&mut self, key: MshrKey) -> Option<Vec<Waiter>> {
         self.entries.remove(&key)
+    }
+
+    /// Takes back a waiter list returned by [`Mshr::complete`] for reuse
+    /// by a later allocation.
+    pub fn recycle(&mut self, mut waiters: Vec<Waiter>) {
+        if self.spare.len() < self.capacity {
+            waiters.clear();
+            self.spare.push(waiters);
+        }
     }
 
     /// Number of outstanding entries.
@@ -162,6 +180,21 @@ mod tests {
         assert_eq!(m.try_insert(key(1, 0x80), w(2)), MshrOutcome::Full);
         assert_eq!(m.try_insert(key(1, 0x40), w(3)), MshrOutcome::Merged);
         assert_eq!(m.capacity(), 1);
+    }
+
+    #[test]
+    fn recycled_lists_come_back_empty() {
+        let mut m = Mshr::new(2);
+        m.try_insert(key(1, 0x40), w(1));
+        m.try_insert(key(1, 0x40), w(2));
+        let served = m.complete(key(1, 0x40)).unwrap();
+        let buf = served.as_ptr();
+        m.recycle(served);
+        assert_eq!(m.try_insert(key(2, 0x80), w(3)), MshrOutcome::Allocated);
+        let next = m.complete(key(2, 0x80)).unwrap();
+        assert_eq!(next.len(), 1, "no waiter of the old miss survives");
+        assert_eq!(next[0].id, PacketId(3));
+        assert_eq!(next.as_ptr(), buf, "the allocation reused the list");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::cpdef::{
     mem_control_plane, MEM_BASELINE_POLICY, MEM_DEFAULT_POLICY, MSTAT_AVG_QLAT, MSTAT_BANDWIDTH,
     MSTAT_COMP_SAVED, MSTAT_ROW_HITS, MSTAT_SERV_CNT,
 };
-use crate::geometry::{BankAddr, DramGeometry};
+use crate::geometry::{AddrMap, BankAddr, DramGeometry};
 use crate::timing::DramTiming;
 
 /// Configuration of the [`MemCtrl`] component.
@@ -99,6 +99,8 @@ struct Pending {
 /// 5. Statistics update and trigger checks happen at window boundaries.
 pub struct MemCtrl {
     cfg: MemCtrlConfig,
+    /// `cfg.geometry` as shifts and masks, validated at construction.
+    addr_map: AddrMap,
     cp: CpHandle,
     gen_watch: Arc<AtomicU64>,
     cached_gen: u64,
@@ -151,7 +153,13 @@ pub struct MemCtrl {
 
 impl MemCtrl {
     /// Creates a controller and returns it with its control-plane handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if a [`DramGeometry`] field of `cfg` is
+    /// not a power of two: requests decompose by shifts and masks.
     pub fn new(cfg: MemCtrlConfig) -> (Self, CpHandle) {
+        let addr_map = cfg.geometry.addr_map();
         let cp = shared(mem_control_plane(cfg.max_ds, cfg.trigger_slots));
         let (gen_watch, stats, pstride, base_off, limit_off, rowbuf_off, compress_off) = {
             let mut guard = cp.lock();
@@ -187,6 +195,7 @@ impl MemCtrl {
         let nbanks = cfg.geometry.total_banks() as usize;
         let nranks = cfg.geometry.ranks as usize;
         let ctrl = MemCtrl {
+            addr_map,
             gen_watch,
             cached_gen: u64::MAX,
             prows: vec![0; cfg.max_ds * pstride],
@@ -353,7 +362,7 @@ impl MemCtrl {
         let limit = self.prows[row + self.limit_off].max(1);
         let base = self.prows[row + self.base_off];
         let maddr = pard_icn::MAddr::new(base.wrapping_add(pkt.addr.raw() % limit));
-        let loc = self.cfg.geometry.decompose(maddr);
+        let loc = self.addr_map.decompose(maddr);
 
         // The active match-action program assigns the scheduling
         // treatment: rank + urgency with the built-in two-class program,
@@ -829,6 +838,19 @@ mod tests {
     use super::*;
     use pard_icn::{LAddr, MemKind, PacketId};
     use pard_sim::{ComponentId, Simulation};
+
+    #[test]
+    #[should_panic(expected = "DramGeometry::banks_per_rank must be a power of two (got 6)")]
+    fn rejects_a_non_power_of_two_geometry() {
+        let geometry = DramGeometry {
+            banks_per_rank: 6,
+            ..DramGeometry::table2()
+        };
+        let _ = MemCtrl::new(MemCtrlConfig {
+            geometry,
+            ..MemCtrlConfig::default()
+        });
+    }
 
     struct Collector {
         responses: Vec<(PacketId, Time)>,

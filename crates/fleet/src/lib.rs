@@ -19,9 +19,11 @@
 //!   on the source, re-register the DS-id's service classes on the target
 //!   through the same pardscript builders an operator would use).
 //!
-//! Machines advance in parallel ([`pard_sim::par::par_map`]) between epoch
-//! boundaries; all manager decisions happen serially at the boundary, so
-//! a run is deterministic for a given seed regardless of `PARD_THREADS`.
+//! Machines advance in parallel between epoch boundaries, each epoch cut
+//! into [`EPOCH_SLICES`] `run_until` slices that workers pick least
+//! advanced first ([`pard_sim::par::par_slices`]); all manager decisions
+//! happen serially at the boundary, so a run is deterministic for a given
+//! seed regardless of `PARD_THREADS`.
 //!
 //! # Paper mapping
 //!
@@ -45,5 +47,5 @@ mod tenants;
 
 pub use config::{apply_env, FleetConfig, TierSlos};
 pub use machine::{FleetMachine, MachineEpoch, Replica, ESCALATE_ACTION, ESCALATE_FACTOR};
-pub use manager::{run_consolidation, run_fleet, FleetOutcome, TierOutcome};
+pub use manager::{run_consolidation, run_fleet, FleetOutcome, TierOutcome, EPOCH_SLICES};
 pub use tenants::{population, TenantSpec, Tier, GUARANTEED_RATE_FACTOR};

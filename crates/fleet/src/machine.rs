@@ -401,9 +401,9 @@ impl FleetMachine {
         armed
     }
 
-    /// Runs the machine for `span` of simulated time.
-    pub fn advance(&mut self, span: Time) {
-        self.server.run_for(span);
+    /// Runs the machine until the absolute simulated time `deadline`.
+    pub fn advance_to(&mut self, deadline: Time) {
+        self.server.run_until(deadline);
     }
 
     /// The memory control plane's `bandwidth` statistics column (MB/s over

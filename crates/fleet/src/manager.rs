@@ -2,7 +2,7 @@
 
 use pard::Time;
 use pard_sim::stats::LatencySample;
-use pard_sim::par::par_map;
+use pard_sim::par::par_slices;
 use pard_sim::trace::{self, TraceCat, TraceVal};
 use pard_sim::RunState;
 
@@ -103,9 +103,17 @@ fn ratio(num: usize, den: usize) -> f64 {
     }
 }
 
+/// Host-side slices per machine per epoch. Each machine's epoch runs as
+/// this many `run_until` calls to evenly spaced deadlines, so a worker
+/// that finishes early takes a slice of a lagging machine instead of
+/// idling; slicing `run_until` does not change the delivered schedule.
+/// A constant, not a knob: it changes nothing but host-time balance.
+pub const EPOCH_SLICES: usize = 16;
+
 /// Runs a whole fleet experiment: builds the machines, places the tenant
-/// population, then advances the fleet epoch by epoch — machines in parallel via
-/// [`par_map`], manager reactions serial and deterministic between epochs.
+/// population, then advances the fleet epoch by epoch — machines in
+/// parallel, [`EPOCH_SLICES`] balanced slices each via [`par_slices`],
+/// manager reactions serial and deterministic between epochs.
 ///
 /// The control ladder is the paper's "trigger ⇒ action" chain with one
 /// more rung: a machine-local trigger (memory `bandwidth` above the
@@ -137,16 +145,18 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetOutcome {
 
     for epoch in 0..cfg.epochs {
         let span = cfg.epoch;
-        let stepped: Vec<(FleetMachine, MachineEpoch)> =
-            par_map(std::mem::take(&mut machines), move |mut m| {
-                m.advance(span);
-                let obs = m.drain_epoch();
-                (m, obs)
-            });
+        let runs: Vec<(Time, FleetMachine, Option<MachineEpoch>)> =
+            machines.drain(..).map(|m| (m.now(), m, None)).collect();
+        let stepped = par_slices(runs, EPOCH_SLICES, move |(start, m, obs), k| {
+            m.advance_to(*start + span * (k as u64 + 1) / EPOCH_SLICES as u64);
+            if k + 1 == EPOCH_SLICES {
+                *obs = Some(m.drain_epoch());
+            }
+        });
         let mut observations = Vec::with_capacity(stepped.len());
-        for (m, obs) in stepped {
+        for (_, m, obs) in stepped {
             machines.push(m);
-            observations.push(obs);
+            observations.push(obs.expect("the last slice drains the epoch"));
         }
 
         // Merge replica samples into per-tenant epoch distributions and

@@ -1,6 +1,5 @@
 //! The on-chip crossbar between cores and the shared LLC.
 
-use pard_sim::hash::WordMap;
 use pard_sim::{audit, fault, Component, ComponentId, Ctx, Time};
 
 use crate::clock::cpu_cycles;
@@ -37,11 +36,12 @@ impl Default for CrossbarConfig {
 /// return crossbars — so this component only sees request traffic.
 ///
 /// Source ports are identified by the request's `reply_to` (the
-/// requesting component); a port's link is created on first use.
+/// requesting component); a port's link is created on first use, in a
+/// table indexed by that component's id.
 pub struct Crossbar {
     cfg: CrossbarConfig,
     dst: ComponentId,
-    ports: WordMap<u32, Link>,
+    ports: Vec<Option<Link>>,
     forwarded: u64,
 }
 
@@ -51,7 +51,7 @@ impl Crossbar {
         Crossbar {
             cfg,
             dst,
-            ports: WordMap::default(),
+            ports: Vec::new(),
             forwarded: 0,
         }
     }
@@ -83,10 +83,17 @@ impl Component<PardEvent> for Crossbar {
                 }
                 let latency = self.cfg.latency;
                 let bw = self.cfg.port_bytes_per_ns;
-                let port = self
-                    .ports
-                    .entry(pkt.reply_to.raw())
-                    .or_insert_with(|| Link::new(latency, bw));
+                // Component ids are dense kernel indices, so the table
+                // stays as small as the machine; the placeholder id is not.
+                assert!(
+                    !pkt.reply_to.is_unwired(),
+                    "crossbar request from an unwired source"
+                );
+                let src = pkt.reply_to.raw() as usize;
+                if src >= self.ports.len() {
+                    self.ports.resize_with(src + 1, || None);
+                }
+                let port = self.ports[src].get_or_insert_with(|| Link::new(latency, bw));
                 let mut deliver_at = port.delivery_time(ctx.now(), pkt.size);
                 if fault::enabled(fault::FaultClass::Xbar) {
                     // Injected port backpressure: the packet is delivered

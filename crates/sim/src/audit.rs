@@ -55,7 +55,7 @@
 //! the calling thread for the length of each `run` / `run_until` / `step`
 //! / `with_component` call (see `DESIGN.md` §10). The ledger operations
 //! below act on the lent ledger, so machines interleaved on one thread, or
-//! moved to a different thread between calls (the fleet's `par_map`),
+//! moved to a different thread between calls (the fleet's `par_slices`),
 //! never see each other's packets — machine A's packet `(xbar, src 3,
 //! id 17)` never collides with machine B's, although both allocate packet
 //! ids from zero. A harness driving a component by hand lends a

@@ -70,7 +70,7 @@ impl fmt::Display for ComponentId {
 /// its own state and schedule further events through the [`Ctx`].
 ///
 /// `Send` is a supertrait because whole machines move between worker
-/// threads ([`crate::par::par_map`] across fleet machines). Only one
+/// threads ([`crate::par::par_slices`] across fleet machines). Only one
 /// thread ever touches a component at a time — the bound is about
 /// *moving* machines to workers, not sharing.
 ///

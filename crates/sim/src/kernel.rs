@@ -94,8 +94,7 @@ struct Kernel<E> {
     /// Observer invoked for the deliveries the kernel trace category
     /// keeps (see [`set_event_hook`](Simulation::set_event_hook)). `None`
     /// in normal operation, so the delivery loop pays only a branch.
-    /// `Send` because whole machines move between `par_map` worker
-    /// threads.
+    /// `Send` because whole machines move between worker threads.
     event_hook: Option<Box<dyn FnMut(Time, ComponentId, &E) + Send>>,
     /// The hook sees one delivery in `hook_every` (fixed by the machine's
     /// tracer); `hook_left` more are skipped before the next one it sees.

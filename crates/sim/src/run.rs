@@ -12,7 +12,7 @@
 //! word derived from its configuration that the hot-path checks read,
 //! and the drop guard swaps both back, also when a strict-audit panic
 //! unwinds. Machines interleaved on one thread, or moved between threads
-//! (the fleet's `par_map`), therefore keep their own configuration,
+//! (the fleet's `par_slices`), therefore keep their own configuration,
 //! ledger, sample subset and fault decisions. Outside any lend nothing is
 //! traced, audited or faulted. Unexpected events
 //! ([`crate::audit::unexpected_event`]) are counted on the lent state
