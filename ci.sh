@@ -87,9 +87,16 @@ scratch="$(mktemp -d)"
     "$repo/target/release/pard-trace" --check trace.ptr \
         --require kernel,llc,dram,ide,trigger,prm
     "$repo/target/release/pard-audit" --replay trace.ptr
+    # The two sinks must record the same events: pard-trace's summaries
+    # (per-category and per-DS-id counts, time span) agree after their
+    # first line, which names the file.
+    "$repo/target/release/pard-trace" trace.jsonl | tail -n +2 > jsonl.summary
+    "$repo/target/release/pard-trace" trace.ptr | tail -n +2 > ptr.summary
+    [ -s jsonl.summary ]
+    cmp jsonl.summary ptr.summary
 )
 rm -rf "$scratch"
-echo "ok: audited fig07 passes pard-trace --check and pard-audit --check/--replay (both sinks)"
+echo "ok: audited fig07 passes pard-trace --check and pard-audit --check/--replay (both sinks), and both sinks summarise alike"
 
 echo "== results/ text goldens: fast harnesses reproduce their committed tables =="
 # results/*.txt are the harnesses' printed tables (results/README.md).

@@ -248,10 +248,9 @@ fn trace_write_throughput(events: u64, file: &str) -> (f64, f64) {
     for _ in 0..ROUNDS {
         let tracer = std::sync::Arc::new(
             Tracer::new(TraceConfig {
-                path: Some(path.clone()),
+                path: path.clone(),
                 filter: vec![(TraceCat::Dram, None)],
                 sample: vec![(TraceCat::Dram, 1)],
-                ..TraceConfig::default()
             })
             .unwrap(),
         );

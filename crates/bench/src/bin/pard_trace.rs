@@ -28,9 +28,8 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use pard::{Action, CmpOp, DsId, LDomSpec, PardServer, SystemConfig, Time};
-use pard_bench::json::JsonValue;
-use pard_bench::replay::stream_trace_lines;
-use pard_sim::trace::{TraceCat, TraceConfig, Tracer};
+use pard_bench::replay::{parse_trace_line, stream_trace_lines};
+use pard_sim::trace::{TraceConfig, Tracer};
 use pard_sim::RunConfig;
 use pard_workloads::{CacheFlush, DiskCopy, DiskCopyConfig};
 
@@ -115,37 +114,20 @@ fn main() -> ExitCode {
 /// summary unless `--check` asked for silence-on-success. Returns the
 /// process exit code.
 fn validate(path: &str, require: &[String], summarise: bool, from: u64) -> ExitCode {
-    let mut by_cat: BTreeMap<String, u64> = BTreeMap::new();
+    let mut by_cat: BTreeMap<&str, u64> = BTreeMap::new();
     let mut by_ds: BTreeMap<u64, u64> = BTreeMap::new();
     let mut first_time = f64::INFINITY;
     let mut last_time = f64::NEG_INFINITY;
     let mut total = 0u64;
 
     let streamed = stream_trace_lines(path, from, &mut |lineno, line| {
-        if line.is_empty() {
+        let Some(ev) = parse_trace_line(path, lineno, line)? else {
             return Ok(());
-        }
-        let v = JsonValue::parse(line)
-            .map_err(|e| format!("{path}:{lineno}: invalid JSON: {e}"))?;
-        let Some(time) = v.get("time").and_then(JsonValue::as_f64) else {
-            return Err(format!("{path}:{lineno}: missing numeric \"time\""));
         };
-        let Some(ds) = v.get("ds").and_then(JsonValue::as_u64) else {
-            return Err(format!("{path}:{lineno}: missing integer \"ds\""));
-        };
-        let Some(cat) = v.get("cat").and_then(JsonValue::as_str) else {
-            return Err(format!("{path}:{lineno}: missing string \"cat\""));
-        };
-        if TraceCat::parse(cat).is_none() {
-            return Err(format!("{path}:{lineno}: unknown category {cat:?}"));
-        }
-        if v.get("event").and_then(JsonValue::as_str).is_none() {
-            return Err(format!("{path}:{lineno}: missing string \"event\""));
-        }
-        *by_cat.entry(cat.to_string()).or_insert(0) += 1;
-        *by_ds.entry(ds).or_insert(0) += 1;
-        first_time = first_time.min(time);
-        last_time = last_time.max(time);
+        *by_cat.entry(ev.cat.name()).or_insert(0) += 1;
+        *by_ds.entry(ev.ds).or_insert(0) += 1;
+        first_time = first_time.min(ev.time);
+        last_time = last_time.max(ev.time);
         total += 1;
         Ok(())
     });

@@ -9,7 +9,8 @@
 //! bytes. [`TraceChecker`] is now the single implementation both call:
 //!
 //! * **schema** — every line is a JSON object with numeric `time`,
-//!   integer `ds`, known `cat`, string `event` (hard error, fail fast);
+//!   integer `ds`, known `cat`, string `event` (hard error, fail fast;
+//!   [`parse_trace_line`], which `pard-trace --check` runs too);
 //! * **clock invariant** — `time` never regresses (sound for
 //!   single-machine traces; recorded as a failure, keeps scanning);
 //! * **IDE quota invariant** — per DS-id, cumulative bytes reported
@@ -42,6 +43,60 @@ pub struct ReplayReport {
     pub total: u64,
     /// Distinct DS-ids with IDE `done` accounting.
     pub ide_ds: usize,
+}
+
+/// One trace line that passed the schema check.
+#[derive(Debug)]
+pub struct TraceLine {
+    /// The whole parsed object, for event-specific fields.
+    pub value: JsonValue,
+    /// Simulated time, ns.
+    pub time: f64,
+    /// The DS-id the event is attributed to.
+    pub ds: u64,
+    /// The event's category.
+    pub cat: TraceCat,
+    /// The event name.
+    pub event: String,
+}
+
+/// Parses one (1-based) trace line and checks the schema every event
+/// carries: a JSON object with numeric `time`, integer `ds`, known `cat`
+/// and string `event`. An empty line is `None`. `path` only prefixes
+/// messages.
+///
+/// # Errors
+///
+/// Names the line and the first schema violation on it.
+pub fn parse_trace_line(path: &str, lineno: u64, line: &str) -> Result<Option<TraceLine>, String> {
+    if line.is_empty() {
+        return Ok(None);
+    }
+    let value =
+        JsonValue::parse(line).map_err(|e| format!("{path}:{lineno}: invalid JSON: {e}"))?;
+    let Some(time) = value.get("time").and_then(JsonValue::as_f64) else {
+        return Err(format!("{path}:{lineno}: missing numeric \"time\""));
+    };
+    let Some(ds) = value.get("ds").and_then(JsonValue::as_u64) else {
+        return Err(format!("{path}:{lineno}: missing integer \"ds\""));
+    };
+    let Some(cat) = value.get("cat").and_then(JsonValue::as_str) else {
+        return Err(format!("{path}:{lineno}: missing string \"cat\""));
+    };
+    let Some(cat) = TraceCat::parse(cat) else {
+        return Err(format!("{path}:{lineno}: unknown category {cat:?}"));
+    };
+    let Some(event) = value.get("event").and_then(JsonValue::as_str) else {
+        return Err(format!("{path}:{lineno}: missing string \"event\""));
+    };
+    let event = event.to_string();
+    Ok(Some(TraceLine {
+        value,
+        time,
+        ds,
+        cat,
+        event,
+    }))
 }
 
 /// Streaming invariant checker over a trace's JSONL event lines.
@@ -80,47 +135,31 @@ impl TraceChecker {
     /// A schema violation is fatal and aborts the scan; invariant
     /// violations are collected for [`finish`](TraceChecker::finish).
     pub fn check_line(&mut self, lineno: u64, line: &str) -> Result<(), String> {
-        if line.is_empty() {
-            return Ok(());
-        }
         let path = &self.path;
-        let v = JsonValue::parse(line)
-            .map_err(|e| format!("{path}:{lineno}: invalid JSON: {e}"))?;
-        let Some(time) = v.get("time").and_then(JsonValue::as_f64) else {
-            return Err(format!("{path}:{lineno}: missing numeric \"time\""));
+        let Some(ev) = parse_trace_line(path, lineno, line)? else {
+            return Ok(());
         };
-        let Some(ds) = v.get("ds").and_then(JsonValue::as_u64) else {
-            return Err(format!("{path}:{lineno}: missing integer \"ds\""));
-        };
-        let Some(cat) = v.get("cat").and_then(JsonValue::as_str) else {
-            return Err(format!("{path}:{lineno}: missing string \"cat\""));
-        };
-        if TraceCat::parse(cat).is_none() {
-            return Err(format!("{path}:{lineno}: unknown category {cat:?}"));
-        }
-        let Some(event) = v.get("event").and_then(JsonValue::as_str) else {
-            return Err(format!("{path}:{lineno}: missing string \"event\""));
-        };
-        if time < self.last_time {
+        if ev.time < self.last_time {
             self.failures.push(format!(
-                "{path}:{lineno}: time regression {time} ns after {} ns (clock invariant)",
-                self.last_time
+                "{path}:{lineno}: time regression {} ns after {} ns (clock invariant)",
+                ev.time, self.last_time
             ));
         }
-        self.last_time = self.last_time.max(time);
-        if cat == "ide" {
-            match event {
+        self.last_time = self.last_time.max(ev.time);
+        if ev.cat == TraceCat::Ide {
+            let field = |key| ev.value.get(key).and_then(JsonValue::as_u64);
+            match ev.event.as_str() {
                 "grant" => {
-                    let Some(budget) = v.get("budget_bytes").and_then(JsonValue::as_u64) else {
+                    let Some(budget) = field("budget_bytes") else {
                         return Err(format!("{path}:{lineno}: ide grant without budget_bytes"));
                     };
-                    *self.granted.entry(ds).or_insert(0) += budget;
+                    *self.granted.entry(ev.ds).or_insert(0) += budget;
                 }
                 "done" => {
-                    let Some(bytes) = v.get("bytes").and_then(JsonValue::as_u64) else {
+                    let Some(bytes) = field("bytes") else {
                         return Err(format!("{path}:{lineno}: ide done without bytes"));
                     };
-                    *self.done.entry(ds).or_insert(0) += bytes;
+                    *self.done.entry(ev.ds).or_insert(0) += bytes;
                 }
                 _ => {}
             }
@@ -240,29 +279,19 @@ pub fn check_trace_file(path: &str) -> Result<(ReplayReport, Option<String>), Ve
     checker.finish().map(|report| (report, torn))
 }
 
-/// Re-checks the invariants of an in-memory `PARD_TRACE` JSONL string
-/// (the [`TraceChecker`] loop for callers that already hold the bytes).
-///
-/// `path` is used only to prefix messages. Returns the report on success.
-///
-/// # Errors
-///
-/// Returns every failure message (already `path:line`-prefixed, ready to
-/// print). Schema errors abort the scan; invariant violations are
-/// collected to the end so one bad line reports every consequence.
-pub fn check_trace_invariants(path: &str, content: &str) -> Result<ReplayReport, Vec<String>> {
-    let mut checker = TraceChecker::new(path);
-    for (lineno, line) in content.lines().enumerate() {
-        checker
-            .check_line(lineno as u64 + 1, line)
-            .map_err(|e| vec![e])?;
-    }
-    checker.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Feeds `content` to a fresh checker line by line, as
+    /// [`check_trace_file`] does; a schema error ends the feed.
+    fn check(content: &str) -> Result<ReplayReport, Vec<String>> {
+        let mut checker = TraceChecker::new("t");
+        for (lineno, line) in (1..).zip(content.lines()) {
+            checker.check_line(lineno, line).map_err(|e| vec![e])?;
+        }
+        checker.finish()
+    }
 
     #[test]
     fn replay_invariants_catch_quota_and_clock_violations() {
@@ -272,7 +301,7 @@ mod tests {
             r#"{"time": 2.0, "ds": 3, "cat": "ide", "event": "done", "bytes": 80}"#,
             "\n",
         );
-        let report = check_trace_invariants("t", ok).expect("clean trace passes");
+        let report = check(ok).expect("clean trace passes");
         assert_eq!(report.total, 2);
         assert_eq!(report.ide_ds, 1);
 
@@ -283,7 +312,7 @@ mod tests {
             r#"{"time": 2.0, "ds": 3, "cat": "ide", "event": "done", "bytes": 80}"#,
             "\n",
         );
-        let errs = check_trace_invariants("t", overdraw).unwrap_err();
+        let errs = check(overdraw).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("quota invariant")), "{errs:?}");
 
         // Clock regression is collected, not fatal.
@@ -293,13 +322,13 @@ mod tests {
             r#"{"time": 4.0, "ds": 0, "cat": "kernel", "event": "b"}"#,
             "\n",
         );
-        let errs = check_trace_invariants("t", regress).unwrap_err();
+        let errs = check(regress).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("clock invariant")), "{errs:?}");
 
         // Schema failures abort immediately.
-        assert!(check_trace_invariants("t", "not json\n").is_err());
+        assert!(check("not json\n").is_err());
         let bad_cat = r#"{"time": 1.0, "ds": 0, "cat": "nope", "event": "x"}"#;
-        assert!(check_trace_invariants("t", bad_cat).is_err());
+        assert!(check(bad_cat).is_err());
     }
 
     #[test]

@@ -16,14 +16,20 @@
 
 use std::sync::Arc;
 
+use pard_bench::replay::stream_trace_lines;
 use pard_fleet::{run_fleet, FleetConfig, FleetOutcome};
 use pard_sim::fault::{FaultKind, FaultPlan};
 use pard_sim::trace::{TraceCat, TraceConfig, Tracer};
 use pard_sim::{RunConfig, Time};
 
 /// Outcome debug text plus the sorted trace lines of one fleet run, its
-/// machines and manager tracing into one fresh tracer.
-fn traced_fleet(cfg: &FleetConfig) -> (String, Vec<String>) {
+/// machines and manager tracing into one fresh tracer whose scratch file
+/// is named after `run`.
+fn traced_fleet(cfg: &FleetConfig, run: &str) -> (String, Vec<String>) {
+    let path = std::env::temp_dir().join(format!(
+        "pard-fleet-trace-{}-{run}.jsonl",
+        std::process::id()
+    ));
     let tracer = Arc::new(
         Tracer::new(TraceConfig {
             // The kernel category kept 1-in-7: a per-process countdown
@@ -33,8 +39,7 @@ fn traced_fleet(cfg: &FleetConfig) -> (String, Vec<String>) {
                 (TraceCat::Dram, 5),
                 (TraceCat::Llc, 3),
             ],
-            ring_capacity: 1 << 20,
-            ..TraceConfig::default()
+            ..TraceConfig::to_file(&path)
         })
         .expect("create tracer"),
     );
@@ -46,11 +51,19 @@ fn traced_fleet(cfg: &FleetConfig) -> (String, Vec<String>) {
         ..cfg.clone()
     };
     let out: FleetOutcome = run_fleet(&cfg);
-    let mut lines = tracer.recent_lines();
+    let emitted = tracer.lines_emitted();
+    tracer.disable();
+    let mut lines = Vec::new();
+    stream_trace_lines(path.to_str().unwrap(), 0, &mut |_, line| {
+        lines.push(line.to_string());
+        Ok(())
+    })
+    .unwrap_or_else(|errs| panic!("{errs:?}"));
+    std::fs::remove_file(&path).ok();
     assert_eq!(
         lines.len() as u64,
-        tracer.lines_emitted(),
-        "ring overflowed"
+        emitted,
+        "the file holds every kept event"
     );
     lines.sort_unstable();
     (format!("{out:?}"), lines)
@@ -101,11 +114,11 @@ fn traced_faulted_fleet_is_identical_across_thread_counts() {
     };
 
     let ambient = std::env::var("PARD_THREADS").ok();
-    let at_ambient = traced_fleet(&cfg);
+    let at_ambient = traced_fleet(&cfg, "ambient");
     std::env::set_var("PARD_THREADS", "1");
-    let one = traced_fleet(&cfg);
+    let one = traced_fleet(&cfg, "t1");
     std::env::set_var("PARD_THREADS", "4");
-    let four = traced_fleet(&cfg);
+    let four = traced_fleet(&cfg, "t4");
     match ambient {
         Some(v) => std::env::set_var("PARD_THREADS", v),
         None => std::env::remove_var("PARD_THREADS"),

@@ -12,9 +12,12 @@
 //! trace: DS-id filter first, then the first and every N-th event of each
 //! category.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pard::{CoreStats, DsId, LDomSpec, PardServer, SystemConfig, Time};
+use pard_bench::replay::stream_trace_lines;
 use pard_icn::{NetFrame, PardEvent};
 use pard_sim::audit::{AuditConfig, Auditor};
 use pard_sim::fault::{FaultKind, FaultPlan};
@@ -179,44 +182,69 @@ fn faulted_machines_keep_their_own_decisions_across_threads() {
     assert_eq!(c, expected, "migrating machine C");
 }
 
-/// A ring-only tracer large enough to hold a whole short run.
-fn ring_tracer(config: TraceConfig) -> Arc<Tracer> {
-    Arc::new(
-        Tracer::new(TraceConfig {
-            ring_capacity: 1 << 20,
-            ..config
-        })
-        .expect("create tracer"),
+/// A config tracing everything at the default sampling into a fresh
+/// scratch file, unique within this process.
+fn scratch() -> TraceConfig {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    TraceConfig::to_file(
+        std::env::temp_dir().join(format!("pard-run-state-{}-{n}.jsonl", std::process::id())),
     )
 }
 
-/// The lines `tracer` kept, checked for ring overflow.
-fn kept_lines(tracer: &Tracer) -> Vec<String> {
-    let lines = tracer.recent_lines();
-    assert_eq!(
-        lines.len() as u64,
-        tracer.lines_emitted(),
-        "ring overflowed"
-    );
-    lines
+/// A tracer and the scratch file it writes, removed on drop.
+struct FileTracer {
+    tracer: Arc<Tracer>,
+    path: PathBuf,
+}
+
+impl FileTracer {
+    fn new(config: TraceConfig) -> FileTracer {
+        let path = config.path.clone();
+        let tracer = Arc::new(Tracer::new(config).expect("create tracer"));
+        FileTracer { tracer, path }
+    }
+
+    /// The lines the tracer kept, read back from its file.
+    fn lines(&self) -> Vec<String> {
+        self.tracer.flush();
+        let mut lines = Vec::new();
+        stream_trace_lines(self.path.to_str().unwrap(), 0, &mut |_, line| {
+            lines.push(line.to_string());
+            Ok(())
+        })
+        .unwrap_or_else(|errs| panic!("{errs:?}"));
+        assert_eq!(
+            lines.len() as u64,
+            self.tracer.lines_emitted(),
+            "the file holds every kept event"
+        );
+        lines
+    }
+}
+
+impl Drop for FileTracer {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.path).ok();
+    }
 }
 
 /// The trace lines of one machine run for 200 µs, in two calls, under
 /// `config`. Its IDE grants a quantum every 5 µs, so the control-path
 /// categories see traffic in so short a span too.
 fn traced_run(config: TraceConfig) -> Vec<String> {
-    let tracer = ring_tracer(config);
+    let sink = FileTracer::new(config);
     let mut cfg = SystemConfig::small_test();
     cfg.ide.quantum = Time::from_us(5);
     cfg.run = RunConfig {
-        tracer: Some(tracer.clone()),
+        tracer: Some(sink.tracer.clone()),
         ..RunConfig::default()
     };
     let mut server = machine_with(cfg);
     for _ in 0..2 {
         server.run_for(Time::from_us(100));
     }
-    kept_lines(&tracer)
+    sink.lines()
 }
 
 /// `(category, DS-id)` of a rendered trace line.
@@ -282,7 +310,7 @@ fn reference_subset(full: &[String], config: &TraceConfig) -> Vec<String> {
 fn one_machine_keeps_the_documented_trace_subset() {
     let full = traced_run(TraceConfig {
         sample: TraceCat::ALL.iter().map(|&c| (c, 1)).collect(),
-        ..TraceConfig::default()
+        ..scratch()
     });
     for cat in [
         TraceCat::Kernel,
@@ -296,7 +324,7 @@ fn one_machine_keeps_the_documented_trace_subset() {
 
     let configs = [
         // Defaults: kernel 1/1024, llc and dram 1/256, the rest all.
-        TraceConfig::default(),
+        scratch(),
         // Sample overrides only: the kernel samples its own category.
         TraceConfig {
             sample: vec![
@@ -305,7 +333,7 @@ fn one_machine_keeps_the_documented_trace_subset() {
                 (TraceCat::Dram, 4),
                 (TraceCat::Ide, 3),
             ],
-            ..TraceConfig::default()
+            ..scratch()
         },
         // DS-restricted categories, sampled after their filter — the
         // kernel category included.
@@ -323,7 +351,7 @@ fn one_machine_keeps_the_documented_trace_subset() {
                 (TraceCat::Dram, 7),
                 (TraceCat::Io, 2),
             ],
-            ..TraceConfig::default()
+            ..scratch()
         },
     ];
     for config in configs {
@@ -347,24 +375,24 @@ struct Observed {
 
 /// A traced (sampled), strict-audited, faulted configuration with a
 /// fresh tracer and auditor.
-fn observed() -> (RunConfig, Arc<Tracer>, Arc<Auditor>) {
-    let tracer = ring_tracer(TraceConfig {
+fn observed() -> (RunConfig, FileTracer, Arc<Auditor>) {
+    let sink = FileTracer::new(TraceConfig {
         sample: vec![(TraceCat::Kernel, 64), (TraceCat::Llc, 16)],
-        ..TraceConfig::default()
+        ..scratch()
     });
     let auditor = Arc::new(Auditor::new(AuditConfig::strict()).unwrap());
     let run = RunConfig {
-        tracer: Some(tracer.clone()),
+        tracer: Some(sink.tracer.clone()),
         auditor: Some(auditor.clone()),
         faults: Some(plan()),
     };
-    (run, tracer, auditor)
+    (run, sink, auditor)
 }
 
-fn observed_outputs(server: &mut PardServer, tracer: &Tracer, auditor: &Auditor) -> Observed {
+fn observed_outputs(server: &mut PardServer, sink: &FileTracer, auditor: &Auditor) -> Observed {
     Observed {
         outputs: outputs(server),
-        lines: kept_lines(tracer),
+        lines: sink.lines(),
         violations: auditor.violations_total(),
         deliveries: auditor.deliveries_observed(),
     }
@@ -373,12 +401,12 @@ fn observed_outputs(server: &mut PardServer, tracer: &Tracer, auditor: &Auditor)
 #[test]
 fn an_observed_and_a_bare_machine_share_a_thread() {
     // Each alone.
-    let (run, tracer, auditor) = observed();
+    let (run, sink, auditor) = observed();
     let mut solo = machine(&run);
     for _ in 0..STEPS {
         solo.run_for(STEP);
     }
-    let expected = observed_outputs(&mut solo, &tracer, &auditor);
+    let expected = observed_outputs(&mut solo, &sink, &auditor);
     let mut bare_solo = machine(&RunConfig::default());
     for _ in 0..STEPS {
         bare_solo.run_for(STEP);
@@ -394,14 +422,14 @@ fn an_observed_and_a_bare_machine_share_a_thread() {
     assert!(expected.deliveries > 0, "the observed machine is audited");
 
     // Interleaved call by call on this thread.
-    let (run, tracer, auditor) = observed();
+    let (run, sink, auditor) = observed();
     let (mut a, mut b) = (machine(&run), machine(&RunConfig::default()));
     for _ in 0..STEPS {
         a.run_for(STEP);
         b.run_for(STEP);
     }
     assert_eq!(
-        observed_outputs(&mut a, &tracer, &auditor),
+        observed_outputs(&mut a, &sink, &auditor),
         expected,
         "the observed machine kept its own outputs, trace and audit"
     );

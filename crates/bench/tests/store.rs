@@ -46,8 +46,8 @@ fn decoded_lines(path: &Path) -> Vec<String> {
     lines
 }
 
-/// A run configuration tracing to `path` (small store pages) and
-/// reporting to `auditor`, and the tracer.
+/// A run configuration tracing to `path` and reporting to `auditor`, and
+/// the tracer.
 fn traced_to(
     path: &Path,
     filter: Vec<(TraceCat, Option<u16>)>,
@@ -56,12 +56,9 @@ fn traced_to(
 ) -> (RunConfig, Arc<Tracer>) {
     let tracer = Arc::new(
         Tracer::new(TraceConfig {
-            path: Some(path.to_path_buf()),
             filter,
             sample,
-            page_size: 4096,
-            pool_pages: 2,
-            ..TraceConfig::default()
+            ..TraceConfig::to_file(path)
         })
         .unwrap(),
     );

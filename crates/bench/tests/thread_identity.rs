@@ -18,10 +18,12 @@ use pard_sim::RunConfig;
 
 #[test]
 fn figure_outputs_are_byte_identical_across_thread_counts() {
-    // All categories into the in-memory ring (default sampling), and
+    // All categories into a scratch binary store (default sampling), and
     // panic on the first conservation violation: a run that loses or
     // duplicates a packet must fail here, not drift a figure.
-    let tracer = Arc::new(Tracer::new(TraceConfig::default()).unwrap());
+    let path =
+        std::env::temp_dir().join(format!("pard-thread-identity-{}.ptr", std::process::id()));
+    let tracer = Arc::new(Tracer::new(TraceConfig::to_file(&path)).unwrap());
     let auditor = Arc::new(Auditor::new(AuditConfig::strict()).unwrap());
     let run = RunConfig {
         tracer: Some(tracer.clone()),
@@ -59,6 +61,8 @@ fn figure_outputs_are_byte_identical_across_thread_counts() {
 
     assert_eq!(auditor.violations_total(), 0, "strict audit stayed clean");
     assert!(tracer.lines_emitted() > 0, "the runs were traced");
+    tracer.disable();
+    std::fs::remove_file(&path).ok();
 
     assert_eq!(one, four, "figure bytes must not depend on PARD_THREADS");
 }

@@ -58,8 +58,6 @@ pub use iface::{
 pub use plane::{
     shared, ControlPlane, CpHandle, CpInterrupt, CpType, InterruptLine, InterruptSink,
 };
-pub use policy::{
-    Decision, MicroOp, OnFail, Pifo, PolicyEngine, PolicyReq, Program, ProgramBuilder, ReqClass,
-};
+pub use policy::{Decision, MicroOp, OnFail, Pifo, PolicyEngine, PolicyReq, Program, ReqClass};
 pub use table::{ColumnDef, DsTable};
 pub use trigger::{CmpOp, Trigger, TriggerMode, TriggerTable};

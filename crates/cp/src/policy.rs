@@ -1088,122 +1088,6 @@ impl<T> Pifo<T> {
     }
 }
 
-/// A fluent builder producing policy source text — the `pardpolicy`
-/// programmatic companion to the shell verb.
-///
-/// # Example
-///
-/// ```
-/// use pard_cp::policy::ProgramBuilder;
-///
-/// let text = ProgramBuilder::new()
-///     .when("param.priority != 0")
-///     .rank("0")
-///     .urgent()
-///     .done()
-///     .when("all")
-///     .rank("1")
-///     .done()
-///     .source();
-/// assert_eq!(text, "when param.priority != 0 do rank 0, urgent\nwhen all do rank 1");
-/// ```
-#[derive(Debug, Default)]
-pub struct ProgramBuilder {
-    rules: Vec<String>,
-}
-
-impl ProgramBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        ProgramBuilder::default()
-    }
-
-    /// Starts a rule with the given predicate text (e.g. `"ds == 2 &&
-    /// class == dma"`, or `"all"`).
-    pub fn when(self, pred: &str) -> RuleBuilder {
-        RuleBuilder {
-            builder: self,
-            pred: pred.to_string(),
-            ops: Vec::new(),
-        }
-    }
-
-    /// The accumulated program text.
-    pub fn source(&self) -> String {
-        self.rules.join("\n")
-    }
-}
-
-/// An in-progress rule of a [`ProgramBuilder`].
-#[derive(Debug)]
-pub struct RuleBuilder {
-    builder: ProgramBuilder,
-    pred: String,
-    ops: Vec<String>,
-}
-
-impl RuleBuilder {
-    /// Adds a `rank <expr>` op.
-    pub fn rank(mut self, expr: &str) -> Self {
-        self.ops.push(format!("rank {expr}"));
-        self
-    }
-
-    /// Adds an `urgent` op.
-    pub fn urgent(mut self) -> Self {
-        self.ops.push("urgent".into());
-        self
-    }
-
-    /// Adds a `weight <expr>` op.
-    pub fn weight(mut self, expr: &str) -> Self {
-        self.ops.push(format!("weight {expr}"));
-        self
-    }
-
-    /// Adds a `drop` op.
-    pub fn drop_req(mut self) -> Self {
-        self.ops.push("drop".into());
-        self
-    }
-
-    /// Adds a `defer` op.
-    pub fn defer(mut self) -> Self {
-        self.ops.push("defer".into());
-        self
-    }
-
-    /// Adds a `charge <cost> rate <rate> burst <burst> else <on_fail>` op.
-    pub fn charge(mut self, cost: &str, rate: &str, burst: &str, on_fail: OnFail) -> Self {
-        let fail = match on_fail {
-            OnFail::Drop => "drop",
-            OnFail::Defer => "defer",
-        };
-        self.ops
-            .push(format!("charge {cost} rate {rate} burst {burst} else {fail}"));
-        self
-    }
-
-    /// Adds a `bump stat.<column>` op.
-    pub fn bump(mut self, stat_column: &str) -> Self {
-        self.ops.push(format!("bump stat.{stat_column}"));
-        self
-    }
-
-    /// Adds a `waymask <expr>` op.
-    pub fn waymask(mut self, expr: &str) -> Self {
-        self.ops.push(format!("waymask {expr}"));
-        self
-    }
-
-    /// Finishes the rule and returns the builder.
-    pub fn done(mut self) -> ProgramBuilder {
-        let rule = format!("when {} do {}", self.pred, self.ops.join(", "));
-        self.builder.rules.push(rule);
-        self.builder
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1583,23 +1467,6 @@ mod tests {
         eng.refresh(reinstalled);
         let fresh = eng.decide(&req(0, ReqClass::Read, 64), &[], &[], Time::ZERO);
         assert_eq!(fresh.rank, 0, "new epoch resets the virtual clock");
-    }
-
-    #[test]
-    fn builder_round_trips_through_the_parser() {
-        let (params, stats) = schemas();
-        let text = ProgramBuilder::new()
-            .when("ds == 2 && class == dma")
-            .charge("size", "1000000", "65536", OnFail::Drop)
-            .bump("drops")
-            .done()
-            .when("all")
-            .rank("wfq(param.wfq_weight)")
-            .done()
-            .source();
-        let prog = Program::parse(&text, &params, &stats).unwrap();
-        assert_eq!(prog.rules().len(), 2);
-        assert_eq!(prog.source(), text);
     }
 
     #[test]

@@ -442,10 +442,7 @@ pub fn violation(kind: AuditKind, time: Time, ds: u16, check: &str, fields: &[(&
         kind.name(),
         check
     );
-    render_fields(
-        &mut line,
-        fields.iter().map(|(k, v)| (*k, v.as_store_ref())),
-    );
+    render_fields(&mut line, fields.iter().copied());
     line.push('}');
 
     run::with_active(|state| {

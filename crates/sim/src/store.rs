@@ -1,13 +1,11 @@
-//! Durable paged binary trace store — the long-horizon alternative to the
-//! JSONL sink.
+//! Durable paged binary trace store — the compact, seekable one of the
+//! tracer's two file sinks.
 //!
-//! The JSONL tracer ([`crate::trace`]) renders one self-contained JSON
-//! object per event: ideal for eyeballs and `grep`, hopeless for the
-//! million-user, hours-of-simulated-time runs the roadmap is building
-//! toward — the rendered text is ~5x the information content, and the only
-//! bounded-memory consumer was a ring that silently dropped the oldest
-//! evidence. This module is the storage subsystem that replaces that ring
-//! as the durable record:
+//! The JSONL sink ([`crate::trace`]) renders one self-contained JSON
+//! object per event: ideal for eyeballs and `grep`, but the rendered text
+//! is ~5x the information content and can only be read front to back.
+//! This module stores the same events in a form a long run can afford and
+//! a replay can seek in:
 //!
 //! * **Fixed-size pages.** A `.ptr` file is a header page followed by
 //!   append-only data pages of the same fixed size. Every page is
@@ -33,8 +31,10 @@
 //!
 //! The store is format-only: it knows nothing about trace categories or
 //! filtering. [`crate::trace`] selects it when `PARD_TRACE` names a
-//! `.ptr` path and re-renders decoded events into byte-identical JSONL
-//! lines for the tools (see `trace::render_stored`).
+//! `.ptr` path, always with the default [`StoreConfig`] (the config is
+//! this module's own seam, which its tests use to cross page boundaries
+//! with small pages), and re-renders decoded events into byte-identical
+//! JSONL lines for the tools (see `trace::render_stored`).
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -101,7 +101,7 @@ impl StoreConfig {
 
 /// An owned field value of a decoded (or staged) trace event.
 ///
-/// Mirrors `trace::TraceVal`, with strings owned so decoded events are
+/// [`ValRef`] with the string owned, so decoded events are
 /// self-contained.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Val {
@@ -127,7 +127,8 @@ impl Val {
     }
 }
 
-/// A borrowed field value, as accepted by [`TraceWriter::append`].
+/// A borrowed field value, as accepted by [`TraceWriter::append`]. With a
+/// `'static` label it is the tracer's field type, `trace::TraceVal`.
 #[derive(Debug, Clone, Copy)]
 pub enum ValRef<'a> {
     /// An unsigned counter / identifier.

@@ -25,10 +25,10 @@
 //! [`RunConfig::from_env`](crate::run::RunConfig::from_env), the default
 //! configuration of every `PardServer`:
 //!
-//! * `PARD_TRACE=<path>` — enable tracing. A path ending in `.ptr` selects
-//!   the durable paged binary store ([`crate::store`], the long-horizon
-//!   format); any other path streams debug JSONL; the magic value `-`
-//!   keeps events only in the in-memory ring.
+//! * `PARD_TRACE=<path>` — enable tracing into a file. A path ending in
+//!   `.ptr` selects the durable paged binary store ([`crate::store`], the
+//!   compact, seekable format); any other path streams debug JSONL. `-`
+//!   is rejected: there is no in-memory sink.
 //! * `PARD_TRACE_FILTER=cat[:ds],...` — restrict to the listed categories,
 //!   optionally to specific DS-ids within a category. Unset means every
 //!   category and every DS-id. Example: `llc,trigger:2` traces all LLC
@@ -38,12 +38,6 @@
 //!   all others 1). Sampling bounds trace volume on multi-million-event
 //!   figure runs. Each simulated machine counts its own events (see
 //!   [Sampling](#sampling)).
-//! * `PARD_TRACE_RING=<n>` — in-memory ring capacity in lines
-//!   (default 65536; the ring is bypassed by the binary store, whose file
-//!   is the durable record).
-//! * `PARD_TRACE_PAGE=<bytes>` / `PARD_TRACE_POOL=<pages>` — binary-store
-//!   page size and buffer-pool depth (defaults 8192 and 8; only
-//!   meaningful with a `.ptr` sink).
 //!
 //! A malformed value for any of these variables is a **hard error**: the
 //! process prints a message naming the variable and exits with status 2,
@@ -68,9 +62,9 @@
 //! a DS-id filter is the exception: the kernel shows every delivery to
 //! its hook, and [`emit`] applies the filter before counting.
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 use crate::run;
@@ -145,129 +139,69 @@ impl TraceCat {
     }
 }
 
-/// A field value attached to a trace event.
-#[derive(Debug, Clone, Copy)]
-pub enum TraceVal {
-    /// An unsigned counter / identifier.
-    U(u64),
-    /// A floating-point measurement.
-    F(f64),
-    /// A static label.
-    S(&'static str),
-    /// A boolean flag.
-    B(bool),
-}
-
-impl TraceVal {
-    /// The store's borrowed view of this value (the two enums are kept in
-    /// lock-step so both sinks serialise the same information).
-    pub(crate) fn as_store_ref(&self) -> ValRef<'static> {
-        match *self {
-            TraceVal::U(u) => ValRef::U(u),
-            TraceVal::F(f) => ValRef::F(f),
-            TraceVal::S(s) => ValRef::S(s),
-            TraceVal::B(b) => ValRef::B(b),
-        }
-    }
-}
+/// A field value attached to a trace event: the store's borrowed value
+/// with a static label, so both sinks serialise the same information.
+pub type TraceVal = ValRef<'static>;
 
 /// Default per-category sampling divisors: the kernel loop and the
 /// cache/memory hot paths fire millions of times per figure run, so they
 /// keep one event in N by default; control-path categories keep everything.
 const DEFAULT_SAMPLE: [u32; CATS] = [1024, 256, 256, 1, 1, 1, 1, 1];
 
-/// Default in-memory ring capacity, in rendered lines.
-const DEFAULT_RING: usize = 65_536;
-
-/// Configuration for [`Tracer::new`].
+/// Configuration for [`Tracer::new`]; build one with
+/// [`TraceConfig::to_file`].
 #[derive(Debug)]
 pub struct TraceConfig {
-    /// Sink path; `None` keeps events only in the in-memory ring. A path
-    /// ending in `.ptr` selects the durable paged binary store
-    /// ([`crate::store`]); anything else streams debug JSONL.
-    pub path: Option<std::path::PathBuf>,
+    /// Sink path. A path ending in `.ptr` selects the durable paged binary
+    /// store ([`crate::store`]); anything else streams debug JSONL.
+    pub path: PathBuf,
     /// Enabled categories and their optional DS-id restrictions
     /// (`None` = all DS-ids).
     pub filter: Vec<(TraceCat, Option<u16>)>,
     /// Per-category sampling overrides `(cat, keep_one_in_n)`; every
     /// divisor must be ≥ 1.
     pub sample: Vec<(TraceCat, u32)>,
-    /// In-memory ring capacity in lines; must be ≥ 1.
-    pub ring_capacity: usize,
-    /// Binary-store page size in bytes (ignored by non-`.ptr` sinks).
-    pub page_size: usize,
-    /// Binary-store buffer-pool depth in pages (ignored by non-`.ptr`
-    /// sinks).
-    pub pool_pages: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            path: None,
-            filter: Vec::new(),
-            sample: Vec::new(),
-            ring_capacity: DEFAULT_RING,
-            page_size: store::DEFAULT_PAGE_SIZE,
-            pool_pages: store::DEFAULT_POOL_PAGES,
-        }
-    }
 }
 
 impl TraceConfig {
     /// A config that traces every category with default sampling into the
     /// given file.
-    pub fn to_file(path: impl Into<std::path::PathBuf>) -> Self {
+    pub fn to_file(path: impl Into<PathBuf>) -> Self {
         TraceConfig {
-            path: Some(path.into()),
-            ..TraceConfig::default()
+            path: path.into(),
+            filter: Vec::new(),
+            sample: Vec::new(),
         }
     }
 }
 
 /// Where kept events go after filtering and sampling.
 enum Sink {
-    /// In-memory ring only.
-    Ring,
-    /// Debug JSONL stream (plus the ring).
+    /// Debug JSONL stream: one rendered line per event.
     Jsonl(BufWriter<File>),
-    /// Durable paged binary store; bypasses the ring — the file is the
-    /// durable record, and skipping the per-event render halves the
-    /// kept-event cost.
+    /// Durable paged binary store: events are encoded, never rendered.
     Binary(store::TraceWriter),
 }
 
 impl Sink {
     /// Makes everything accepted so far visible to readers of the sink.
     fn flush(&mut self) {
-        match self {
-            Sink::Ring => {}
-            Sink::Jsonl(w) => {
-                let _ = w.flush();
-            }
-            Sink::Binary(w) => {
-                let _ = w.flush();
-            }
-        }
+        let _ = match self {
+            Sink::Jsonl(w) => w.flush(),
+            Sink::Binary(w) => w.flush(),
+        };
     }
 
     /// Final teardown flush (the binary store also syncs to disk).
     fn finish(&mut self) {
-        match self {
-            Sink::Ring => {}
-            Sink::Jsonl(w) => {
-                let _ = w.flush();
-            }
-            Sink::Binary(w) => {
-                let _ = w.finish();
-            }
-        }
+        let _ = match self {
+            Sink::Jsonl(w) => w.flush(),
+            Sink::Binary(w) => w.finish(),
+        };
     }
 }
 
 struct TraceState {
-    ring: VecDeque<String>,
-    ring_capacity: usize,
     sink: Sink,
     emitted: u64,
 }
@@ -339,29 +273,20 @@ impl Sampler {
 
 impl Tracer {
     /// Builds a tracer from `config`. Fails if the sink file cannot be
-    /// created or the store config is invalid.
+    /// created.
     ///
     /// # Panics
     ///
-    /// Panics on a zero `ring_capacity` or a zero sampling divisor — both
-    /// are programming errors, and silently "fixing" them would make the
-    /// tracer behave differently from what the caller asked for. (The
-    /// env-var path rejects these before ever reaching `new`.)
+    /// Panics on a zero sampling divisor — a programming error, and
+    /// silently "fixing" it would make the tracer behave differently from
+    /// what the caller asked for. (The env-var path rejects it before
+    /// ever reaching `new`.)
     pub fn new(config: TraceConfig) -> std::io::Result<Tracer> {
-        assert!(
-            config.ring_capacity > 0,
-            "TraceConfig::ring_capacity must be >= 1"
-        );
-        let sink = match &config.path {
-            Some(p) if p.extension().is_some_and(|e| e == "ptr") => {
-                let store_config = StoreConfig {
-                    page_size: config.page_size,
-                    pool_pages: config.pool_pages,
-                };
-                Sink::Binary(store::TraceWriter::create(p, store_config)?)
-            }
-            Some(p) => Sink::Jsonl(BufWriter::new(File::create(p)?)),
-            None => Sink::Ring,
+        let path = &config.path;
+        let sink = if path.extension().is_some_and(|e| e == "ptr") {
+            Sink::Binary(store::TraceWriter::create(path, StoreConfig::default())?)
+        } else {
+            Sink::Jsonl(BufWriter::new(File::create(path)?))
         };
 
         let mut mask = 0u32;
@@ -403,12 +328,7 @@ impl Tracer {
             ds_filter,
             emit_div,
             kernel_div,
-            state: Mutex::new(Some(TraceState {
-                ring: VecDeque::new(),
-                ring_capacity: config.ring_capacity,
-                sink,
-                emitted: 0,
-            })),
+            state: Mutex::new(Some(TraceState { sink, emitted: 0 })),
         })
     }
 
@@ -451,17 +371,6 @@ impl Tracer {
         }
     }
 
-    /// The most recent trace lines still held in the in-memory ring.
-    ///
-    /// The binary store bypasses the ring (its file is the durable
-    /// record), so this is empty while a `.ptr` sink is active.
-    pub fn recent_lines(&self) -> Vec<String> {
-        self.lock()
-            .as_ref()
-            .map(|s| s.ring.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
     /// Total events emitted (post-filter, post-sampling) into this tracer.
     pub fn lines_emitted(&self) -> u64 {
         self.lock().as_ref().map_or(0, |s| s.emitted)
@@ -475,34 +384,22 @@ impl Tracer {
             .is_none_or(|allow| allow.contains(&ds))
     }
 
-    /// Hands one kept event to the sink: rendered as a JSONL line for the
-    /// ring/JSONL sinks, appended in binary form (no render) for a `.ptr`
-    /// store.
+    /// Hands one kept event to the sink: rendered as a JSONL line, or
+    /// appended in binary form (no render) for a `.ptr` store.
     #[inline(never)]
     fn write(&self, cat: TraceCat, time: Time, ds: u16, event: &str, fields: &[(&str, TraceVal)]) {
         let mut guard = self.lock();
         let Some(state) = guard.as_mut() else {
             return;
         };
-        if let Sink::Binary(w) = &mut state.sink {
-            let _ = w.append(
-                cat as u8,
-                time.units(),
-                ds,
-                event,
-                fields.iter().map(|(k, v)| (*k, v.as_store_ref())),
-            );
-            state.emitted += 1;
-            return;
+        match &mut state.sink {
+            Sink::Binary(w) => {
+                let _ = w.append(cat as u8, time.units(), ds, event, fields.iter().copied());
+            }
+            Sink::Jsonl(w) => {
+                let _ = writeln!(w, "{}", render_line(cat, time, ds, event, fields));
+            }
         }
-        let line = render_line(cat, time, ds, event, fields);
-        if let Sink::Jsonl(w) = &mut state.sink {
-            let _ = writeln!(w, "{line}");
-        }
-        if state.ring.len() == state.ring_capacity {
-            state.ring.pop_front();
-        }
-        state.ring.push_back(line);
         state.emitted += 1;
     }
 }
@@ -511,6 +408,11 @@ impl Drop for Tracer {
     fn drop(&mut self) {
         self.disable();
     }
+}
+
+/// Every category name, `|`-separated, for error messages.
+fn category_names() -> String {
+    TraceCat::ALL.map(TraceCat::name).join("|")
 }
 
 /// Parses the raw `PARD_TRACE*` values into a [`TraceConfig`].
@@ -523,14 +425,13 @@ fn config_from_env(
     path: &str,
     filter: Option<&str>,
     sample: Option<&str>,
-    ring: Option<&str>,
-    page: Option<&str>,
-    pool: Option<&str>,
 ) -> Result<TraceConfig, String> {
-    let mut config = TraceConfig {
-        path: (path != "-").then(|| path.into()),
-        ..TraceConfig::default()
-    };
+    if path == "-" {
+        return Err("PARD_TRACE: \"-\" is not a sink (want a file path; \
+                    a .ptr path selects the binary store)"
+            .to_string());
+    }
+    let mut config = TraceConfig::to_file(path);
     if let Some(filter) = filter {
         for term in filter.split(',').filter(|t| !t.is_empty()) {
             let (cat, ds) = match term.split_once(':') {
@@ -547,9 +448,9 @@ fn config_from_env(
             };
             let cat = TraceCat::parse(cat.trim()).ok_or_else(|| {
                 format!(
-                    "PARD_TRACE_FILTER: unknown category {:?} \
-                     (want kernel|llc|dram|io|ide|trigger|prm)",
-                    cat.trim()
+                    "PARD_TRACE_FILTER: unknown category {:?} (want {})",
+                    cat.trim(),
+                    category_names()
                 )
             })?;
             config.filter.push((cat, ds));
@@ -562,9 +463,9 @@ fn config_from_env(
                 .ok_or_else(|| format!("PARD_TRACE_SAMPLE: bad term {term:?} (want cat:n)"))?;
             let cat = TraceCat::parse(cat.trim()).ok_or_else(|| {
                 format!(
-                    "PARD_TRACE_SAMPLE: unknown category {:?} in term {term:?} \
-                     (want kernel|llc|dram|io|ide|trigger|prm)",
-                    cat.trim()
+                    "PARD_TRACE_SAMPLE: unknown category {:?} in term {term:?} (want {})",
+                    cat.trim(),
+                    category_names()
                 )
             })?;
             let div = div.trim().parse::<u32>().map_err(|_| {
@@ -578,49 +479,13 @@ fn config_from_env(
             config.sample.push((cat, div));
         }
     }
-    if let Some(ring) = ring {
-        let n = ring.trim().parse::<usize>().map_err(|_| {
-            format!("PARD_TRACE_RING: bad capacity {ring:?} (want an integer >= 1)")
-        })?;
-        if n == 0 {
-            return Err("PARD_TRACE_RING: capacity must be >= 1".to_string());
-        }
-        config.ring_capacity = n;
-    }
-    if let Some(page) = page {
-        let n = page.trim().parse::<usize>().map_err(|_| {
-            format!(
-                "PARD_TRACE_PAGE: bad page size {page:?} (want an integer number of bytes in {}..={})",
-                store::MIN_PAGE_SIZE,
-                store::MAX_PAGE_SIZE
-            )
-        })?;
-        if n < store::MIN_PAGE_SIZE || n > store::MAX_PAGE_SIZE {
-            return Err(format!(
-                "PARD_TRACE_PAGE: page size {n} out of range ({}..={} bytes)",
-                store::MIN_PAGE_SIZE,
-                store::MAX_PAGE_SIZE
-            ));
-        }
-        config.page_size = n;
-    }
-    if let Some(pool) = pool {
-        let n = pool.trim().parse::<usize>().map_err(|_| {
-            format!("PARD_TRACE_POOL: bad pool depth {pool:?} (want an integer >= 1)")
-        })?;
-        if n == 0 {
-            return Err("PARD_TRACE_POOL: pool depth must be >= 1".to_string());
-        }
-        config.pool_pages = n;
-    }
     Ok(config)
 }
 
-/// Reads `PARD_TRACE` / `PARD_TRACE_FILTER` / `PARD_TRACE_SAMPLE` /
-/// `PARD_TRACE_RING` / `PARD_TRACE_PAGE` / `PARD_TRACE_POOL` and builds
-/// the tracer they ask for: `None` when `PARD_TRACE` is unset or empty.
-/// `Err` names the variable at fault, for a malformed value or a sink
-/// file that cannot be created.
+/// Reads `PARD_TRACE` / `PARD_TRACE_FILTER` / `PARD_TRACE_SAMPLE` and
+/// builds the tracer they ask for: `None` when `PARD_TRACE` is unset or
+/// empty. `Err` names the variable at fault, for a malformed value or a
+/// sink file that cannot be created.
 pub(crate) fn tracer_from_env() -> Result<Option<Tracer>, String> {
     let var = |name| std::env::var(name).ok();
     let Some(path) = var("PARD_TRACE").filter(|p| !p.is_empty()) else {
@@ -630,9 +495,6 @@ pub(crate) fn tracer_from_env() -> Result<Option<Tracer>, String> {
         &path,
         var("PARD_TRACE_FILTER").as_deref(),
         var("PARD_TRACE_SAMPLE").as_deref(),
-        var("PARD_TRACE_RING").as_deref(),
-        var("PARD_TRACE_PAGE").as_deref(),
-        var("PARD_TRACE_POOL").as_deref(),
     )?;
     Tracer::new(config)
         .map(Some)
@@ -672,7 +534,7 @@ pub fn emit(cat: TraceCat, time: Time, ds: u16, event: &str, fields: &[(&str, Tr
 /// Renders one trace event as its JSONL line.
 fn render_line(cat: TraceCat, time: Time, ds: u16, event: &str, fields: &[(&str, TraceVal)]) -> String {
     let mut line = render_prefix(cat, time.units(), ds, event);
-    render_fields(&mut line, fields.iter().map(|(k, v)| (*k, v.as_store_ref())));
+    render_fields(&mut line, fields.iter().copied());
     line.push('}');
     line
 }
@@ -714,10 +576,10 @@ fn render_prefix(cat: TraceCat, time_units: u64, ds: u16, event: &str) -> String
     line
 }
 
-/// Appends the `,"key":value` tail fields. Taking [`ValRef`] lets the
-/// live-emission path ([`TraceVal`]) and the store-decode path
-/// ([`store::Event`]) share one formatter, which is what makes the two
-/// sinks byte-equivalent by construction.
+/// Appends the `,"key":value` tail fields. The live-emission path
+/// ([`TraceVal`]) and the store-decode path ([`store::Event`]) share this
+/// one formatter, which is what makes the two sinks byte-equivalent by
+/// construction.
 pub(crate) fn render_fields<'a>(line: &mut String, fields: impl Iterator<Item = (&'a str, ValRef<'a>)>) {
     use std::fmt::Write as _;
     for (key, val) in fields {
@@ -761,10 +623,26 @@ pub(crate) fn format_ns(t: Time) -> String {
 mod tests {
     use super::*;
     use crate::run::{RunConfig, RunState};
+    use std::path::Path;
     use std::sync::Arc;
 
     fn tracer(config: TraceConfig) -> Arc<Tracer> {
         Arc::new(Tracer::new(config).unwrap())
+    }
+
+    /// A scratch JSONL sink path for test `name`, unique to this process.
+    fn scratch(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("pard-trace-{}-{name}.jsonl", std::process::id()))
+    }
+
+    /// The lines `t` has written to its JSONL sink at `path`.
+    fn lines(t: &Tracer, path: &Path) -> Vec<String> {
+        t.flush();
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
     }
 
     fn run_state(tracer: &Arc<Tracer>) -> RunState {
@@ -783,24 +661,27 @@ mod tests {
 
     #[test]
     fn nothing_is_traced_outside_a_lend() {
-        let t = tracer(TraceConfig::default());
+        let path = scratch("unlent");
+        let t = tracer(TraceConfig::to_file(&path));
         assert!(t.enabled(TraceCat::Llc));
         assert!(!enabled(TraceCat::Llc), "no run state is lent");
         emit(TraceCat::Llc, Time::from_ns(1), 0, "miss", &[]);
         assert_eq!(t.lines_emitted(), 0);
         traced(&t, || assert!(enabled(TraceCat::Llc)));
         assert!(!enabled(TraceCat::Llc), "the lend is over");
+        assert!(lines(&t, &path).is_empty());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn filtered_events_render_as_jsonl_lines() {
-        // Ring-only tracer, llc for all ds + trigger for ds 2 only, no
-        // sampling so every event lands.
+        // llc for all ds + trigger for ds 2 only, no sampling so every
+        // event lands.
+        let path = scratch("filtered");
         let t = tracer(TraceConfig {
             filter: vec![(TraceCat::Llc, None), (TraceCat::Trigger, Some(2))],
             sample: vec![(TraceCat::Llc, 1)],
-            ring_capacity: 4,
-            ..TraceConfig::default()
+            ..TraceConfig::to_file(&path)
         });
         traced(&t, || {
             assert!(enabled(TraceCat::Llc));
@@ -819,22 +700,24 @@ mod tests {
             emit(TraceCat::Dram, Time::from_ns(6), 2, "issue", &[]); // category off
         });
         assert_eq!(
-            t.recent_lines(),
+            lines(&t, &path),
             [
                 "{\"time\":2.25,\"ds\":3,\"cat\":\"llc\",\"event\":\"miss\",\"addr\":64,\"hot\":true}",
                 "{\"time\":5,\"ds\":2,\"cat\":\"trigger\",\"event\":\"fire\",\"slot\":0}",
             ]
         );
         assert_eq!(t.lines_emitted(), 2);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn each_run_state_samples_its_own_events() {
         // Divisor 3 keeps the 1st, 4th, 7th, ... event.
+        let path = scratch("per-state");
         let t = tracer(TraceConfig {
             filter: vec![(TraceCat::Dram, None)],
             sample: vec![(TraceCat::Dram, 3)],
-            ..TraceConfig::default()
+            ..TraceConfig::to_file(&path)
         });
         traced(&t, || {
             for i in 0..7u64 {
@@ -857,6 +740,7 @@ mod tests {
         let (mut a, mut b) = (run_state(&t), run_state(&t));
         assert_eq!([kept_of_four(&mut a), kept_of_four(&mut b)], [2, 2]);
         assert_eq!([kept_of_four(&mut a), kept_of_four(&mut b)], [1, 1]);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -864,10 +748,11 @@ mod tests {
         // Of the DS-2 events (the 1st, 3rd, 5th and 6th emitted), divisor
         // 2 keeps the 1st and 3rd. A filtered kernel category is sampled
         // here too, not by the kernel.
+        let path = scratch("ds-filter");
         let t = tracer(TraceConfig {
             filter: vec![(TraceCat::Dram, Some(2)), (TraceCat::Kernel, Some(0))],
             sample: vec![(TraceCat::Dram, 2), (TraceCat::Kernel, 2)],
-            ..TraceConfig::default()
+            ..TraceConfig::to_file(&path)
         });
         assert_eq!(t.kernel_every(), 1, "a DS filter moves sampling to emit");
         traced(&t, || {
@@ -875,8 +760,7 @@ mod tests {
                 emit(TraceCat::Dram, Time::from_ns(i as u64), ds, "issue", &[]);
             }
         });
-        let times: Vec<String> = t
-            .recent_lines()
+        let times: Vec<String> = lines(&t, &path)
             .iter()
             .map(|l| l.split(',').next().unwrap().to_string())
             .collect();
@@ -888,40 +772,45 @@ mod tests {
         });
         assert_eq!(t.lines_emitted(), 4, "DS-0 kernel events 1 and 3 kept");
 
+        std::fs::remove_file(&path).ok();
+
         // Unfiltered, the kernel samples its own category.
+        let path = scratch("kernel-sampled");
         let t = tracer(TraceConfig {
             sample: vec![(TraceCat::Kernel, 2)],
-            ..TraceConfig::default()
+            ..TraceConfig::to_file(&path)
         });
         assert_eq!(t.kernel_every(), 2);
         assert_eq!(t.emit_div[TraceCat::Kernel as usize], 1);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn ring_capacity_bounds_memory_and_disable_stops_the_tracer() {
+    fn disable_finishes_the_sink_and_stops_the_tracer() {
+        let path = scratch("disable");
         let t = tracer(TraceConfig {
             filter: vec![(TraceCat::Io, None)],
-            ring_capacity: 2,
-            ..TraceConfig::default()
+            ..TraceConfig::to_file(&path)
         });
         traced(&t, || {
             for i in 0..5u64 {
                 emit(TraceCat::Io, Time::from_ns(i), 0, "dma", &[]);
             }
         });
-        assert_eq!(t.recent_lines().len(), 2);
-        assert!(t.recent_lines()[0].contains("\"time\":3"));
 
         t.disable();
-        assert!(t.recent_lines().is_empty());
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 5);
         traced(&t, || emit(TraceCat::Io, Time::from_ns(9), 0, "dma", &[]));
         assert_eq!(t.lines_emitted(), 0, "a disabled tracer drops events");
+        assert_eq!(lines(&t, &path).len(), 5, "nothing written after disable");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn machines_on_one_thread_trace_into_their_own_tracers() {
-        let a = tracer(TraceConfig::default());
-        let b = tracer(TraceConfig::default());
+        let (pa, pb) = (scratch("machine-a"), scratch("machine-b"));
+        let a = tracer(TraceConfig::to_file(&pa));
+        let b = tracer(TraceConfig::to_file(&pb));
         let (mut sa, mut sb) = (run_state(&a), run_state(&b));
         let mut bare = RunState::new(RunConfig::default());
         for i in 0..3u64 {
@@ -937,24 +826,24 @@ mod tests {
             emit(TraceCat::Io, Time::from_ns(i), 2, "b", &[]);
         }
         assert_eq!((a.lines_emitted(), b.lines_emitted()), (3, 3));
-        let only = |t: &Tracer, event: &str| t.recent_lines().iter().all(|l| l.contains(event));
-        assert!(only(&a, "\"event\":\"a\"") && only(&b, "\"event\":\"b\""));
+        let only = |t: &Tracer, path: &Path, event: &str| {
+            let kept = lines(t, path);
+            kept.len() == 3 && kept.iter().all(|l| l.contains(event))
+        };
+        assert!(only(&a, &pa, "\"event\":\"a\"") && only(&b, &pb, "\"event\":\"b\""));
+        std::fs::remove_file(&pa).ok();
+        std::fs::remove_file(&pb).ok();
     }
 
     #[test]
     fn binary_sink_decodes_to_the_jsonl_bytes() {
-        // Binary sink (`.ptr`): emits append structured events, the ring
-        // stays empty, and decoding + render_stored reproduces the exact
-        // JSONL bytes.
-        let dir = std::env::temp_dir().join(format!("pard-trace-bin-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let ptr = dir.join("t.ptr");
+        // Binary sink (`.ptr`): emits append structured events, and
+        // decoding + render_stored reproduces the exact JSONL bytes.
+        let ptr = scratch("bin").with_extension("ptr");
         let t = tracer(TraceConfig {
-            path: Some(ptr.clone()),
             filter: vec![(TraceCat::Llc, None), (TraceCat::Ide, None)],
             sample: vec![(TraceCat::Llc, 1)],
-            ring_capacity: 4,
-            ..TraceConfig::default()
+            ..TraceConfig::to_file(&ptr)
         });
         traced(&t, || {
             emit(
@@ -973,7 +862,6 @@ mod tests {
             emit(TraceCat::Ide, Time::from_ns(5), 2, "grant", &bytes);
         });
         assert_eq!(t.lines_emitted(), 2);
-        assert!(t.recent_lines().is_empty(), "binary sink bypasses the ring");
         drop(t); // dropping the last handle finishes the store
 
         let mut reader = store::TraceReader::open(&ptr).unwrap();
@@ -991,7 +879,7 @@ mod tests {
                     .to_string(),
             ]
         );
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&ptr).ok();
     }
 
     #[test]
@@ -1011,48 +899,48 @@ mod tests {
     // without touching the process environment.
     #[test]
     fn env_config_accepts_the_documented_surface() {
-        let c = config_from_env(
-            "out.ptr",
-            Some("llc,trigger:2"),
-            Some("kernel:64"),
-            Some("128"),
-            Some("4096"),
-            Some("2"),
-        )
-        .unwrap();
-        assert_eq!(c.path.as_deref(), Some(std::path::Path::new("out.ptr")));
+        let c = config_from_env("out.ptr", Some("llc,trigger:2"), Some("kernel:64")).unwrap();
+        assert_eq!(c.path, Path::new("out.ptr"));
         assert_eq!(c.filter, vec![(TraceCat::Llc, None), (TraceCat::Trigger, Some(2))]);
         assert_eq!(c.sample, vec![(TraceCat::Kernel, 64)]);
-        assert_eq!(c.ring_capacity, 128);
-        assert_eq!(c.page_size, 4096);
-        assert_eq!(c.pool_pages, 2);
-        // `-` = ring only; unset extras keep defaults.
-        let c = config_from_env("-", None, None, None, None, None).unwrap();
-        assert!(c.path.is_none());
-        assert_eq!(c.ring_capacity, DEFAULT_RING);
+        // Unset extras trace everything at the default sampling.
+        let c = config_from_env("out.jsonl", None, None).unwrap();
+        assert_eq!(c.path, Path::new("out.jsonl"));
+        assert!(c.filter.is_empty() && c.sample.is_empty());
     }
 
     #[test]
     fn env_config_rejects_malformed_values_naming_the_variable() {
-        let cases: [(&str, Option<&str>, Option<&str>, Option<&str>, Option<&str>, Option<&str>, &str); 9] = [
-            ("t", Some("bogus"), None, None, None, None, "PARD_TRACE_FILTER"),
-            ("t", Some("llc:banana"), None, None, None, None, "PARD_TRACE_FILTER"),
-            ("t", None, Some("llc"), None, None, None, "PARD_TRACE_SAMPLE"),
-            ("t", None, Some("bogus:2"), None, None, None, "PARD_TRACE_SAMPLE"),
-            ("t", None, Some("llc:0"), None, None, None, "PARD_TRACE_SAMPLE"),
-            ("t", None, None, Some("many"), None, None, "PARD_TRACE_RING"),
-            ("t", None, None, Some("0"), None, None, "PARD_TRACE_RING"),
-            ("t", None, None, None, Some("17"), None, "PARD_TRACE_PAGE"),
-            ("t", None, None, None, None, Some("0"), "PARD_TRACE_POOL"),
+        let cases: [(Option<&str>, Option<&str>, &str); 5] = [
+            (Some("bogus"), None, "PARD_TRACE_FILTER"),
+            (Some("llc:banana"), None, "PARD_TRACE_FILTER"),
+            (None, Some("llc"), "PARD_TRACE_SAMPLE"),
+            (None, Some("bogus:2"), "PARD_TRACE_SAMPLE"),
+            (None, Some("llc:0"), "PARD_TRACE_SAMPLE"),
         ];
-        for (path, filter, sample, ring, page, pool, var) in cases {
-            let err = config_from_env(path, filter, sample, ring, page, pool)
+        for (filter, sample, var) in cases {
+            let err = config_from_env("t", filter, sample)
                 .expect_err("malformed value must be rejected");
             assert!(
                 err.starts_with(var),
                 "error {err:?} must name the variable {var}"
             );
         }
+        // An unknown category lists every category that would be accepted.
+        for err in [
+            config_from_env("t", Some("bogus"), None).unwrap_err(),
+            config_from_env("t", None, Some("bogus:2")).unwrap_err(),
+        ] {
+            for cat in TraceCat::ALL {
+                assert!(err.contains(cat.name()), "{err:?} must list {}", cat.name());
+            }
+        }
+    }
+
+    #[test]
+    fn a_dash_path_is_rejected_naming_the_variable() {
+        let err = config_from_env("-", None, None).expect_err("`-` names no sink");
+        assert!(err.starts_with("PARD_TRACE:"), "{err:?}");
     }
 
     #[test]
