@@ -32,7 +32,7 @@ PARD_THREADS=2 cargo test -q --offline -p pard-bench --test determinism --test f
 echo "== event-queue / kernel events-per-sec smoke =="
 # Must run to completion, write BENCH_kernel.json (kernel perf record),
 # and pass the perf gate: dense-regime speedups of the packed-key event
-# heap over a plain binary heap >= 1.0x, a recorded stats_record_mops,
+# queue over a plain binary heap >= 1.0x, a recorded stats_record_mops,
 # and — via PARD_BENCH_BASELINE — the fresh kernel-through-MemCtrl rate
 # within 5% of the committed record, so the policy layer on the serve
 # path cannot silently tax the kernel (--check exits non-zero
@@ -97,6 +97,29 @@ scratch="$(mktemp -d)"
 )
 rm -rf "$scratch"
 echo "ok: audited fig07 passes pard-trace --check and pard-audit --check/--replay (both sinks), and both sinks summarise alike"
+
+echo "== sink write errors: a full disk under any observation sink exits 2 =="
+# A run asked to trace, audit or dump metrics must never silently do
+# less: with each sink pointed at a symlink to /dev/full, fig07 must exit
+# with status 2 and name the variable whose sink failed.
+scratch="$(mktemp -d)"
+(
+    cd "$scratch"
+    for sink in "PARD_TRACE=t.jsonl" "PARD_TRACE=t.ptr" \
+            "PARD_AUDIT=strict PARD_AUDIT_FILE=a.jsonl" "PARD_METRICS=m.json"; do
+        var="${sink##* }"
+        ln -s /dev/full "${var#*=}"
+        status=0
+        env $sink "$repo/target/release/fig07" --quick >/dev/null 2>err.txt || status=$?
+        if [ "$status" -ne 2 ] || ! grep -q "^${var%%=*}:" err.txt; then
+            echo "error: fig07 with $sink on /dev/full exited $status:" >&2
+            cat err.txt >&2
+            exit 1
+        fi
+    done
+)
+rm -rf "$scratch"
+echo "ok: a failed trace, audit or metrics write exits 2 naming its variable"
 
 echo "== results/ text goldens: fast harnesses reproduce their committed tables =="
 # results/*.txt are the harnesses' printed tables (results/README.md).

@@ -385,6 +385,7 @@ fn observed() -> (RunConfig, FileTracer, Arc<Auditor>) {
         tracer: Some(sink.tracer.clone()),
         auditor: Some(auditor.clone()),
         faults: Some(plan()),
+        ..RunConfig::default()
     };
     (run, sink, auditor)
 }

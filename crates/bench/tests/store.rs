@@ -65,7 +65,7 @@ fn traced_to(
     let run = RunConfig {
         tracer: Some(tracer.clone()),
         auditor: Some(auditor.clone()),
-        faults: None,
+        ..RunConfig::default()
     };
     (run, tracer)
 }

@@ -28,7 +28,7 @@ fn figure_outputs_are_byte_identical_across_thread_counts() {
     let run = RunConfig {
         tracer: Some(tracer.clone()),
         auditor: Some(auditor.clone()),
-        faults: None,
+        ..RunConfig::default()
     };
 
     let render = || {

@@ -429,14 +429,10 @@ impl PardServer {
 impl Drop for PardServer {
     fn drop(&mut self) {
         // Exit-time observability: dump the final metrics snapshot when
-        // `PARD_METRICS=path` is set, and flush any buffered trace lines.
-        if let Ok(path) = std::env::var("PARD_METRICS") {
-            if !path.is_empty() {
-                let json = self.metrics_snapshot().to_json();
-                let _ = std::fs::write(&path, json);
-            }
-        }
-        let run = self.sim.run_config();
+        // the configuration names a file (`PARD_METRICS`), and flush any
+        // buffered trace lines.
+        let run = self.sim.run_config().clone();
+        run.write_metrics(|| self.metrics_snapshot().to_json());
         if let Some(auditor) = &run.auditor {
             auditor.emit_summary(self.sim.now());
         }

@@ -182,11 +182,33 @@ struct AuditState {
     total: u64,
 }
 
+impl AuditState {
+    /// Writes one line to the sink, if any, and flushes it. A sink that
+    /// fails is taken out of service.
+    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
+        let Some(sink) = self.sink.as_mut() else {
+            return Ok(());
+        };
+        let written = writeln!(sink, "{line}").and_then(|()| sink.flush());
+        if written.is_err() {
+            self.sink = None;
+        }
+        written
+    }
+}
+
 /// A violation report with its reaction mode. Built once from an
 /// [`AuditConfig`] and shared by the machines that report to it (see
 /// [`RunConfig`](crate::run::RunConfig)).
+///
+/// A strict run whose report was lost must not pass: the first failed
+/// write to the sink file stops the file and ends the run with exit
+/// status 2 naming `PARD_AUDIT_FILE` if the environment configured the
+/// auditor, or prints the error if it was built in code.
 pub struct Auditor {
     mode: AuditMode,
+    /// The sink file's path, for error messages.
+    path: Option<std::path::PathBuf>,
     state: Mutex<AuditState>,
     /// Kernel-loop deliveries made by machines reporting here (the kernel
     /// adds each run call's count once, at the end of the call).
@@ -303,6 +325,7 @@ impl Auditor {
         };
         Ok(Auditor {
             mode: config.mode,
+            path: config.path,
             state: Mutex::new(AuditState {
                 sink,
                 records: Vec::new(),
@@ -327,16 +350,29 @@ impl Auditor {
     /// records and the sink (flushed immediately — violations are rare
     /// and must survive a strict abort), and counted.
     fn record(&self, kind: AuditKind, line: &str) {
-        let mut state = self.lock();
-        state.total += 1;
-        state.counts[kind as usize] += 1;
-        if let Some(sink) = state.sink.as_mut() {
-            let _ = writeln!(sink, "{line}");
-            let _ = sink.flush();
+        let written = {
+            let mut state = self.lock();
+            state.total += 1;
+            state.counts[kind as usize] += 1;
+            if state.records.len() < state.max_records {
+                state.records.push(line.to_string());
+            }
+            state.write_line(line)
+        };
+        if let Err(e) = written {
+            self.failed(e);
         }
-        if state.records.len() < state.max_records {
-            state.records.push(line.to_string());
-        }
+    }
+
+    /// Reports a failed sink write (see the type's documentation).
+    #[cold]
+    fn failed(&self, e: std::io::Error) {
+        let env = run::env_var("PARD_AUDIT_FILE", self, |c| c.auditor.as_deref());
+        let path = self.path.as_deref().unwrap_or(std::path::Path::new(""));
+        run::sink_failed(
+            env,
+            &format!("cannot write the audit report to {path:?}: {e}"),
+        );
     }
 
     /// Total violations recorded.
@@ -365,10 +401,10 @@ impl Auditor {
     /// number of kernel deliveries the auditor observed.
     pub fn emit_summary(&self, now: Time) {
         let mut state = self.lock();
-        let (total, counts) = (state.total, state.counts);
-        let Some(sink) = state.sink.as_mut() else {
+        if state.sink.is_none() {
             return;
-        };
+        }
+        let (total, counts) = (state.total, state.counts);
         let mut line = String::with_capacity(96);
         use std::fmt::Write as _;
         let _ = write!(
@@ -383,8 +419,11 @@ impl Auditor {
             let _ = write!(line, ",\"{}\":{}", kind.name(), counts[kind as usize]);
         }
         line.push('}');
-        let _ = writeln!(sink, "{line}");
-        let _ = sink.flush();
+        let written = state.write_line(&line);
+        drop(state);
+        if let Err(e) = written {
+            self.failed(e);
+        }
     }
 }
 
@@ -672,6 +711,26 @@ mod tests {
         assert_eq!(a.violations_total(), 0);
         packet_inject(Domain::Xbar, 1, 0, 3, Time::ZERO);
         assert_eq!(in_flight(), 0, "ledger must ignore ops while disabled");
+    }
+
+    #[test]
+    fn a_failed_sink_write_stops_the_sink_and_keeps_the_counts() {
+        // A device on which every write fails with "no space left".
+        let full = std::path::Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let a = auditor(AuditConfig {
+            path: Some(full.into()),
+            ..AuditConfig::report()
+        });
+        let mut state = run_state(&a);
+        let _lend = state.lend();
+        violation(AuditKind::Quota, Time::from_ns(1), 0, "over", &[]);
+        assert!(a.lock().sink.is_none(), "the failed write stops the sink");
+        violation(AuditKind::Quota, Time::from_ns(2), 0, "over", &[]);
+        assert_eq!(a.violations_total(), 2, "violations still count");
+        assert!(a.first_violation().is_some());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`EventQueue`] is the hot path of every simulation: the packet-level
 //! inner loop does one push and one pop per hop, so scheduler cost
 //! dominates wall-clock exactly as it does in ns-3-class network
-//! simulators. The queue is one four-ary min-heap of packed `u128` keys,
+//! simulators. The queue orders packed `u128` keys,
 //!
 //! ```text
 //! key = time << 64 | seq << 24 | slot
@@ -11,16 +11,40 @@
 //!
 //! where `seq` is the monotonic insertion number and `slot` indexes a
 //! payload slab holding each pending event's payload and destination.
-//! Sifts move 16-byte keys instead of whole events, and one integer
+//! The queue moves 16-byte keys instead of whole events, and one integer
 //! compare orders two events: `seq` is unique and sits above `slot`, so
 //! key order is exactly `(time, seq)` order. Popped slots go on a free
 //! list and are reused by the next push, so the slab never grows past the
 //! peak number of pending events and steady-state operation allocates
 //! nothing.
 //!
+//! The keys are held in one of two layouts, chosen by how many are
+//! pending:
+//!
+//! * **A sorted run** of at most `RUN` keys, latest first. A push scans
+//!   from the end (the earliest key) and shifts the few earlier keys up
+//!   by one; a pop takes the last key. The simulator's workloads hold a
+//!   mean of 6.5–9.7 pending events and at most 22–32, and a new key lands
+//!   behind only 1.3–2.6 of them on average (instrumented builds of the
+//!   perfbench workloads, `fig08`, `fig09` and `fig_fleet --quick`), so
+//!   a push moves two or three keys and a pop moves none. This is the
+//!   layout of a PIFO (push-in, first-out) queue.
+//! * **A four-ary min-heap** once a push would exceed `RUN` keys. The
+//!   run is reversed in place, which already is a valid min-heap. A pop
+//!   leaves the root vacant and the next push sifts its key down from
+//!   there: a delivered event usually schedules the next one a few
+//!   nanoseconds later, so that key settles within a level or two, and
+//!   the pop-then-push pair costs one short sift instead of a full
+//!   sift-down of the last leaf plus a sift-up of the new key. When a pop
+//!   leaves at most `RUN / 4` keys, they are sorted back into a run.
+//!
+//! Both conversions are out of line and rare (the gap between the two
+//! bounds keeps a pending set near one of them from switching back and
+//! forth), and both layouts deliver in exact `(time, seq)` order.
+//!
 //! Each payload is written once and read once. [`EventQueue::push`] is a
 //! small inlined body — an out-of-line slot claim, the payload store, an
-//! out-of-line key sift — so a sender's freshly built event is stored
+//! out-of-line key insert — so a sender's freshly built event is stored
 //! straight into its slot. The kernel pops only the key ([`Due`]), shows
 //! its observer the payload in place, and then [`takes`](EventQueue::take)
 //! it out of the slot straight into the handler call. Copying the payload
@@ -29,18 +53,6 @@
 //! before (`DESIGN.md` §8). For the same reason a slot marks itself
 //! occupied outside the payload ([`Slot`]), so the payload moves as one
 //! contiguous block.
-//!
-//! A pop leaves the root vacant and the next push sifts its key down from
-//! there. A delivered event usually schedules the next one a few
-//! nanoseconds later, so that key settles within a level or two, and the
-//! pop-then-push pair costs one short sift instead of a full sift-down of
-//! the last leaf plus a sift-up of the new key.
-//!
-//! The simulator's pending set is small (a handful to a few thousand
-//! events) and most pushes land a few nanoseconds ahead of the clock,
-//! so a flat heap over compact keys beats bucketed calendar/ladder
-//! layouts here: their bucket bookkeeping costs more than the two or
-//! three heap levels it saves.
 
 use std::cmp::Ordering;
 
@@ -129,13 +141,20 @@ const SLOT_BITS: u32 = 24;
 const SEQ_BITS: u32 = 64 - SLOT_BITS;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
+/// Most keys the queue holds as a sorted run: twice the largest pending
+/// set measured on the simulator's workloads (32). A push beyond it
+/// turns the run into a heap; a pop that leaves `RUN / 4` keys or fewer
+/// turns the heap back into a run.
+const RUN: usize = 64;
+
 /// A deterministic time-ordered event queue.
 ///
 /// Events with equal timestamps are delivered in insertion order, which
 /// (combined with seeded RNGs) makes every simulation run reproducible.
-/// Internally a four-ary heap of packed `(time, seq, slot)` keys over a
-/// payload slab; the comment at the top of `crates/sim/src/event.rs`
-/// describes the layout.
+/// Internally packed `(time, seq, slot)` keys over a payload slab, held
+/// as a sorted run while few are pending and as a four-ary heap beyond
+/// that; the comment at the top of `crates/sim/src/event.rs` describes
+/// the layout.
 ///
 /// # Example
 ///
@@ -149,13 +168,17 @@ const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Four-ary min-heap of packed keys; `heap[0]` is the earliest event
-    /// unless `vacant_root` is set.
-    heap: Vec<u128>,
-    /// `heap[0]` was popped and not yet refilled. The next push sifts its
-    /// key down from the root instead of sifting up from a new leaf, so
-    /// the kernel's usual pop-then-push costs one short sift, not two;
-    /// any other access refills the root from the last leaf first.
+    /// Pending keys. Unless `heap` is set, a run sorted latest first, so
+    /// the earliest key is last; otherwise a four-ary min-heap whose
+    /// `keys[0]` is the earliest key unless `vacant_root` is set.
+    keys: Vec<u128>,
+    /// `keys` is a heap, not a run.
+    heap: bool,
+    /// Heap only: `keys[0]` was popped and not yet refilled. The next
+    /// push sifts its key down from the root instead of sifting up from a
+    /// new leaf, so the kernel's usual pop-then-push costs one short sift,
+    /// not two; any other access refills the root from the last leaf
+    /// first.
     vacant_root: bool,
     /// Payload slab, indexed by a key's low [`SLOT_BITS`] bits. `None`
     /// marks a free slot.
@@ -163,6 +186,12 @@ pub struct EventQueue<E> {
     /// Free slot indices, reused last-freed first.
     free: Vec<u32>,
     next_seq: u64,
+}
+
+/// The time field of a key.
+#[inline]
+fn key_time(key: u128) -> u64 {
+    (key >> 64) as u64
 }
 
 impl<E> EventQueue<E> {
@@ -175,7 +204,9 @@ impl<E> EventQueue<E> {
     /// the first reallocation.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: Vec::with_capacity(cap),
+            // A full run fits from the start, so a run push never grows.
+            keys: Vec::with_capacity(cap.max(RUN)),
+            heap: false,
             vacant_root: false,
             slots: Vec::with_capacity(cap),
             free: Vec::with_capacity(cap),
@@ -232,10 +263,24 @@ impl<E> EventQueue<E> {
         (time.units() as u128) << 64 | (seq << SLOT_BITS | slot) as u128
     }
 
+    /// Inserts a claimed key: at its rank in the run, or into the heap
+    /// once the run is full. Both heap paths are calls in tail position,
+    /// so the run path saves no registers.
+    #[inline(never)]
+    fn insert(&mut self, key: u128) {
+        if self.heap {
+            self.heap_insert(key);
+        } else if self.keys.len() < RUN {
+            self.run_insert(key);
+        } else {
+            self.run_to_heap(key);
+        }
+    }
+
     /// Inserts a claimed key into the heap: into a vacant root, or as a
     /// new leaf.
     #[inline(never)]
-    fn insert(&mut self, key: u128) {
+    fn heap_insert(&mut self, key: u128) {
         if self.vacant_root {
             self.vacant_root = false;
             self.sift_down_root(key);
@@ -244,26 +289,74 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Adds `key` to a run with room for it: the earlier keys at its end
+    /// shift up by one, and `key` is written once at its rank.
+    #[inline]
+    fn run_insert(&mut self, key: u128) {
+        let len = self.keys.len();
+        debug_assert!(len < RUN && self.keys.capacity() >= RUN);
+        let k = self.keys.as_mut_ptr();
+        // SAFETY: `keys` holds room for `RUN` keys from construction on
+        // (it never shrinks) and `len < RUN`, so index `len` is inside the
+        // allocation; `i` only moves down from there while above zero,
+        // and every key below `len + 1` is initialised when `len` grows.
+        unsafe {
+            let mut i = len;
+            while i > 0 {
+                let prev = *k.add(i - 1);
+                if prev > key {
+                    break;
+                }
+                *k.add(i) = prev;
+                i -= 1;
+            }
+            *k.add(i) = key;
+            self.keys.set_len(len + 1);
+        }
+    }
+
+    /// Turns the full run into a heap and inserts `key` into it:
+    /// reversed, the run is sorted earliest first, which is a valid
+    /// min-heap.
+    #[cold]
+    #[inline(never)]
+    fn run_to_heap(&mut self, key: u128) {
+        self.keys.reverse();
+        self.heap = true;
+        self.heap_insert(key);
+    }
+
+    /// Turns a heap whose root was just popped back into a run: the root
+    /// is dropped and the rest sorted latest first.
+    #[cold]
+    #[inline(never)]
+    fn heap_to_run(&mut self) {
+        self.keys.swap_remove(0);
+        self.keys.sort_unstable_by(|a, b| b.cmp(a));
+        self.vacant_root = false;
+        self.heap = false;
+    }
+
     /// Refills a vacant root with the last leaf.
     #[cold]
     fn fill_root(&mut self) {
         self.vacant_root = false;
-        let last = self.heap.pop().expect("a vacant root is in the heap");
-        if !self.heap.is_empty() {
+        let last = self.keys.pop().expect("a vacant root is in the heap");
+        if !self.keys.is_empty() {
             self.sift_down_root(last);
         }
     }
 
-    /// Appends `key` and sifts it up: ancestors later than `key` shift
-    /// down one level into the hole, and `key` is written once at its
-    /// final position.
+    /// Appends `key` to the heap and sifts it up: ancestors later than
+    /// `key` shift down one level into the hole, and `key` is written once
+    /// at its final position.
     #[inline]
     fn sift_up(&mut self, key: u128) {
-        let mut i = self.heap.len();
-        self.heap.push(key);
-        let h = self.heap.as_mut_ptr();
+        let mut i = self.keys.len();
+        self.keys.push(key);
+        let h = self.keys.as_mut_ptr();
         // SAFETY: `i` starts at the last index and only moves to parents,
-        // so every access is below `heap.len()`.
+        // so every access is below `keys.len()`.
         unsafe {
             while i > 0 {
                 let parent = (i - 1) / 4;
@@ -278,15 +371,15 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Fills the vacant root with `key` and sifts it down. A full set of
-    /// four children is reduced without branches: the lesser of each pair
-    /// by index arithmetic on the comparison result, then the lesser of
-    /// the two winners.
+    /// Fills the heap's vacant root with `key` and sifts it down. A full
+    /// set of four children is reduced without branches: the lesser of
+    /// each pair by index arithmetic on the comparison result, then the
+    /// lesser of the two winners.
     #[inline]
     fn sift_down_root(&mut self, key: u128) {
-        let len = self.heap.len();
+        let len = self.keys.len();
         assert!(len > 0, "sifting into an empty heap");
-        let h = self.heap.as_mut_ptr();
+        let h = self.keys.as_mut_ptr();
         let mut i = 0;
         // SAFETY: the hole `i` starts at the root, which exists (`len > 0`),
         // and only moves to a child below `len`; children are read only
@@ -353,18 +446,31 @@ impl<E> EventQueue<E> {
     /// [`take`]: EventQueue::take
     #[inline]
     pub(crate) fn pop_due(&mut self, deadline: Time) -> Option<Due> {
-        if self.vacant_root {
-            self.fill_root();
-        }
-        let top = *self.heap.first()?;
-        if (top >> 64) as u64 > deadline.units() {
-            return None;
-        }
-        self.vacant_root = true;
+        let top = if self.heap {
+            if self.vacant_root {
+                self.fill_root();
+            }
+            let top = *self.keys.first()?;
+            if key_time(top) > deadline.units() {
+                return None;
+            }
+            self.vacant_root = true;
+            if self.keys.len() <= RUN / 4 + 1 {
+                self.heap_to_run();
+            }
+            top
+        } else {
+            let top = *self.keys.last()?;
+            if key_time(top) > deadline.units() {
+                return None;
+            }
+            self.keys.pop();
+            top
+        };
         let low = top as u64;
         let slot = (low & SLOT_MASK) as u32;
         Some(Due {
-            time: Time::from_units((top >> 64) as u64),
+            time: Time::from_units(key_time(top)),
             seq: low >> SLOT_BITS,
             dst: self.slot(slot).dst,
             slot,
@@ -402,17 +508,19 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<Time> {
         // Under a vacant root the earliest key is the least of its
         // children.
-        let top = if self.vacant_root {
-            self.heap.iter().skip(1).take(4).min()
+        let top = if !self.heap {
+            self.keys.last()
+        } else if self.vacant_root {
+            self.keys.iter().skip(1).take(4).min()
         } else {
-            self.heap.first()
+            self.keys.first()
         };
-        top.map(|&k| Time::from_units((k >> 64) as u64))
+        top.map(|&k| Time::from_units(key_time(k)))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.vacant_root as usize
+        self.keys.len() - self.vacant_root as usize
     }
 
     /// Whether no events are pending.
@@ -566,10 +674,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_churn_narrows_the_buckets_and_keeps_order() {
-        // 512 pending events spread over <256 units, the regime a
-        // bucketed calendar queue handles worst. A deterministic LCG
-        // supplies deltas in 1..=16.
+    fn dense_churn_at_hold_512_keeps_order() {
+        // 512 pending events, far past the run, spread over <256 units:
+        // the heap resolves dense near-ties. A deterministic LCG supplies
+        // deltas in 1..=16.
         let mut x = 0x9e3779b97f4a7c15u64;
         let deltas: Vec<u64> = (0..1024)
             .map(|_| {
@@ -581,7 +689,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_after_dense_widens_the_buckets_again() {
+    fn sparse_churn_after_dense_churn_keeps_order() {
         // A dense phase followed by a sparse phase (deltas ~40x wider)
         // keeps exact order across the change of density.
         churn_oracle(
@@ -598,10 +706,10 @@ mod tests {
     }
 
     #[test]
-    fn widening_rebucket_recovers_deferred_overflow_events() {
+    fn timers_sprinkled_in_dense_churn_come_back_in_order() {
         // Dense traffic with mid-range timers sprinkled in, then a sparse
         // phase: every timer comes back in order, none skipped. (This
-        // pattern once lost events in a bucketed layout.)
+        // pattern once lost events in an earlier bucketed layout.)
         churn_oracle(256, 12_288, |i| {
             if i < 8192 {
                 if i % 16 == 0 {
@@ -735,9 +843,115 @@ mod tests {
 
     #[test]
     fn hold_k_churn_never_grows_the_slab_past_k() {
-        let q = churn_oracle(64, 10_000, |i| 1 + (i * 37) % 500);
-        assert_eq!(q.slots.len(), 64);
-        assert!(q.slots.iter().all(Option::is_none));
-        assert_eq!(q.free.len(), 64);
+        // One k the run holds and one only the heap does.
+        for k in [RUN / 2, 2 * RUN] {
+            let q = churn_oracle(k as u64, 10_000, |i| 1 + (i * 37) % 500);
+            assert_eq!(q.slots.len(), k);
+            assert!(q.slots.iter().all(Option::is_none));
+            assert_eq!(q.free.len(), k);
+        }
+    }
+
+    /// Random `push`/`pop`/`pop_until`/`peek_time`/`len` sequences
+    /// against a sorted `Vec` of `(time, seq)`. Each case swings the
+    /// pending count between a few keys and a few times `RUN`, so it
+    /// crosses `RUN` and `RUN / 4` in both directions many times, with
+    /// equal-time ties pushed on both sides of each conversion and
+    /// far-future timers that stay pending through them.
+    #[test]
+    fn random_ops_across_run_and_heap_match_a_sorted_vec() {
+        crate::check::cases("event.run_heap_oracle", 64, |rng| {
+            use crate::rng::Rng;
+            let mut q = EventQueue::new();
+            let mut reference: Vec<(u64, u64)> = Vec::new();
+            let (mut seq, mut now) = (0u64, 0u64);
+            let (mut to_heap, mut to_run) = (0u32, 0u32);
+            for phase in 0..rng.gen_range(6u32..12) {
+                // Grow to a target on one side of the bounds, then shrink
+                // to one on the other.
+                let target = if phase % 2 == 0 {
+                    rng.gen_range(RUN + 1..4 * RUN)
+                } else {
+                    rng.gen_range(0..RUN / 4)
+                };
+                while reference.len() != target {
+                    let was_heap = q.heap;
+                    // Mostly towards the target, sometimes away from it.
+                    let toward = rng.gen_bool(0.8);
+                    if reference.is_empty() || (reference.len() < target) == toward {
+                        let delay = match rng.gen_range(0u32..8) {
+                            0..=2 => 0,                              // a tie with now
+                            3..=5 => rng.gen_range(0u64..16),        // near hops
+                            6 => rng.gen_range(0u64..2_000),         // mid-range
+                            _ => rng.gen_range(1u64 << 30..1 << 40), // far timers
+                        };
+                        let t = now + delay;
+                        q.push(Time::from_units(t), dst(0), seq);
+                        let at = reference.partition_point(|&e| e < (t, seq));
+                        reference.insert(at, (t, seq));
+                        seq += 1;
+                    } else {
+                        // A deadline just before, at or after the front.
+                        let front = reference[0].0;
+                        let deadline = front.saturating_sub(1) + rng.gen_range(0u64..3);
+                        let until = rng.gen_bool(0.5);
+                        let popped = if until {
+                            q.pop_until(Time::from_units(deadline))
+                        } else {
+                            q.pop()
+                        };
+                        match popped {
+                            Some(popped) => {
+                                let expect = reference.remove(0);
+                                assert_eq!((popped.time.units(), popped.seq), expect);
+                                assert_eq!(popped.event, expect.1, "payload follows its key");
+                                now = expect.0;
+                            }
+                            None => assert!(until && front > deadline, "a due event was missed"),
+                        }
+                    }
+                    assert_eq!(q.len(), reference.len());
+                    assert_eq!(q.is_empty(), reference.is_empty());
+                    assert_eq!(
+                        q.peek_time(),
+                        reference.first().map(|&(t, _)| Time::from_units(t))
+                    );
+                    to_heap += u32::from(!was_heap && q.heap);
+                    to_run += u32::from(was_heap && !q.heap);
+                }
+            }
+            assert!(
+                to_heap >= 3 && to_run >= 3,
+                "{to_heap} to heap, {to_run} to run"
+            );
+            while let Some(popped) = q.pop() {
+                assert_eq!((popped.time.units(), popped.seq), reference.remove(0));
+            }
+            assert!(reference.is_empty());
+        });
+    }
+
+    #[test]
+    fn equal_time_ties_straddling_both_conversions_pop_in_seq_order() {
+        // RUN keys at one instant fill the run; the next push at the same
+        // instant turns it into a heap, and popping down to RUN / 4 turns
+        // it back while more same-instant keys arrive.
+        let t = Time::from_units(7);
+        let mut q = EventQueue::new();
+        for i in 0..=RUN as u64 {
+            q.push(t, dst(0), i);
+        }
+        assert!(q.heap);
+        let mut next = 0;
+        while q.heap {
+            assert_eq!(q.pop().unwrap().event, next);
+            next += 1;
+        }
+        assert_eq!(q.len(), RUN / 4);
+        for i in 0..3 {
+            q.push(t, dst(0), RUN as u64 + 1 + i);
+        }
+        let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(rest, (next..RUN as u64 + 4).collect::<Vec<_>>());
     }
 }

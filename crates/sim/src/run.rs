@@ -22,6 +22,7 @@
 //! reads once, the default of every `PardServer`.
 
 use std::cell::{Cell, RefCell};
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use crate::audit::{self, Auditor};
@@ -40,6 +41,9 @@ pub struct RunConfig {
     /// The machine's fault plan; `None`, or a plan without events,
     /// injects nothing.
     pub faults: Option<Arc<FaultPlan>>,
+    /// Where the machine writes its final metrics snapshot when it shuts
+    /// down; `None` writes none.
+    pub metrics: Option<PathBuf>,
 }
 
 /// Guard-word bits: the trace categories take bits 0–7
@@ -51,14 +55,16 @@ pub(crate) const FAULT_SHIFT: u32 = 16;
 
 impl RunConfig {
     /// The configuration the environment asks for: a tracer when
-    /// `PARD_TRACE` is set, an auditor when `PARD_AUDIT` is, no fault
-    /// plan. The environment is read on the first call only; every call
-    /// returns handles to the same tracer and auditor.
+    /// `PARD_TRACE` is set, an auditor when `PARD_AUDIT` is, a metrics
+    /// snapshot path when `PARD_METRICS` is, no fault plan. The
+    /// environment is read on the first call only; every call returns
+    /// handles to the same tracer and auditor.
     ///
-    /// A malformed value, or a sink file that cannot be created, is a
-    /// hard error: the process prints a message naming the variable and
-    /// exits with status 2 — a run asked to trace or audit must never
-    /// silently do less than asked.
+    /// A malformed value, a sink file that cannot be created, or a later
+    /// failed write to one of these sinks is a hard error: the process
+    /// prints a message naming the variable and exits with status 2 — a
+    /// run asked to trace, audit or dump metrics must never silently do
+    /// less than asked.
     pub fn from_env() -> RunConfig {
         ENV.get_or_init(|| {
             let exit = |msg: String| -> ! {
@@ -76,9 +82,31 @@ impl RunConfig {
                 tracer: tracer.map(Arc::new),
                 auditor: auditor.map(Arc::new),
                 faults: None,
+                metrics: var("PARD_METRICS")
+                    .filter(|p| !p.is_empty())
+                    .map(PathBuf::from),
             }
         })
         .clone()
+    }
+
+    /// Writes the machine's final metrics snapshot, rendered by `json`,
+    /// to [`metrics`](RunConfig::metrics) if it names a file. A failed
+    /// write ends the run with exit status 2 naming `PARD_METRICS` when
+    /// the environment set the path, and is printed otherwise.
+    pub fn write_metrics(&self, json: impl FnOnce() -> String) {
+        let Some(path) = &self.metrics else {
+            return;
+        };
+        if let Err(e) = std::fs::write(path, json()) {
+            let from_env = ENV
+                .get()
+                .is_some_and(|env| env.metrics.as_ref() == Some(path));
+            sink_failed(
+                from_env.then_some("PARD_METRICS"),
+                &format!("cannot write the metrics snapshot to {path:?}: {e}"),
+            );
+        }
     }
 
     /// This configuration's guard word.
@@ -91,6 +119,36 @@ impl RunConfig {
         let fault = self.faults.as_ref().map_or(0, |p| p.class_mask());
         trace | audit | fault << FAULT_SHIFT
     }
+}
+
+/// Reports a failed write to a trace, audit or metrics sink, whose
+/// caller has taken the sink out of service. A sink the environment
+/// configured names its variable in `env_var`: the process prints the
+/// message and exits with status 2, as for a malformed value
+/// ([`RunConfig::from_env`]). For a sink built in code the message is
+/// only printed, since the failure may surface in a `Drop`, which must
+/// not panic.
+pub(crate) fn sink_failed(env_var: Option<&str>, msg: &str) {
+    match env_var {
+        Some(var) => {
+            eprintln!("{var}: {msg}");
+            std::process::exit(2)
+        }
+        None => eprintln!("{msg}"),
+    }
+}
+
+/// `var` when `sink` is the one the environment configured, as `pick`
+/// finds it in [`ENV`]; `None` for a sink built in code.
+pub(crate) fn env_var<T>(
+    var: &'static str,
+    sink: &T,
+    pick: impl FnOnce(&RunConfig) -> Option<&T>,
+) -> Option<&'static str> {
+    ENV.get()
+        .and_then(pick)
+        .is_some_and(|env| std::ptr::eq(env, sink))
+        .then_some(var)
 }
 
 /// The environment's configuration, once [`RunConfig::from_env`] has
@@ -118,6 +176,7 @@ impl RunState {
             tracer: None,
             auditor: None,
             faults: None,
+            metrics: None,
         },
         guard: 0,
         ledger: audit::Ledger::EMPTY,

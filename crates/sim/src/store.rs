@@ -999,10 +999,41 @@ fn decode_record(
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("pard-store-{}", std::process::id()));
+    /// A file path in a directory of its own, removed with everything in
+    /// it when the guard drops, also when the test fails.
+    struct TmpPath {
+        dir: std::path::PathBuf,
+        path: std::path::PathBuf,
+    }
+
+    impl std::ops::Deref for TmpPath {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    impl AsRef<Path> for TmpPath {
+        fn as_ref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    impl Drop for TmpPath {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.dir).ok();
+        }
+    }
+
+    /// `name` in a fresh directory named for this process and file, so
+    /// tests running in parallel never share one.
+    fn tmp(name: &str) -> TmpPath {
+        let dir = std::env::temp_dir().join(format!("pard-store-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        TmpPath {
+            path: dir.join(name),
+            dir,
+        }
     }
 
     fn sample_events(n: u64) -> Vec<Event> {
@@ -1079,7 +1110,6 @@ mod tests {
             "{bytes} bytes for {} events is not a compact encoding",
             events.len()
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1101,7 +1131,6 @@ mod tests {
         drop(w);
         let (decoded, _) = read_all(&path);
         assert_eq!(decoded, events);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1140,7 +1169,6 @@ mod tests {
             .find_map(|res| res.err())
             .expect("mid-file corruption must surface an error");
         assert!(matches!(err, StoreError::CorruptPage { page: 1, .. }), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1172,7 +1200,6 @@ mod tests {
             events.len(),
             "seek before the first event replays everything"
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1197,7 +1224,6 @@ mod tests {
             .append(0, 0, 0, &huge, std::iter::empty())
             .expect_err("an event bigger than a page must be rejected");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1205,6 +1231,5 @@ mod tests {
         let path = tmp("not-a-store");
         std::fs::write(&path, b"{\"time\":1}\n").unwrap();
         assert!(matches!(TraceReader::open(&path), Err(StoreError::BadHeader(_))));
-        std::fs::remove_file(&path).ok();
     }
 }

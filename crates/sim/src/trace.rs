@@ -185,19 +185,19 @@ enum Sink {
 
 impl Sink {
     /// Makes everything accepted so far visible to readers of the sink.
-    fn flush(&mut self) {
-        let _ = match self {
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self {
             Sink::Jsonl(w) => w.flush(),
             Sink::Binary(w) => w.flush(),
-        };
+        }
     }
 
     /// Final teardown flush (the binary store also syncs to disk).
-    fn finish(&mut self) {
-        let _ = match self {
+    fn finish(&mut self) -> std::io::Result<()> {
+        match self {
             Sink::Jsonl(w) => w.flush(),
             Sink::Binary(w) => w.finish(),
-        };
+        }
     }
 }
 
@@ -210,6 +210,11 @@ struct TraceState {
 /// once from a [`TraceConfig`] and shared by the machines that trace into
 /// it (see [`RunConfig`](crate::run::RunConfig)); the sink is finished
 /// when the tracer is disabled or dropped.
+///
+/// A run asked to trace must never silently trace less: the first failed
+/// write, flush or finish stops the tracer and ends the run with exit
+/// status 2 naming `PARD_TRACE` if the environment configured it, or
+/// prints the error if it was built in code.
 pub struct Tracer {
     /// Bit `i` set = category `i` enabled.
     mask: u32,
@@ -223,6 +228,8 @@ pub struct Tracer {
     /// kernel category's divisor while that category is traced without
     /// a DS-id filter, 1 otherwise.
     kernel_div: u32,
+    /// The sink's path, for error messages.
+    path: PathBuf,
     /// `None` once disabled.
     state: Mutex<Option<TraceState>>,
 }
@@ -328,6 +335,7 @@ impl Tracer {
             ds_filter,
             emit_div,
             kernel_div,
+            path: config.path,
             state: Mutex::new(Some(TraceState { sink, emitted: 0 })),
         })
     }
@@ -357,8 +365,11 @@ impl Tracer {
     /// also syncs it to disk) and stops the tracer: later events are
     /// dropped.
     pub fn disable(&self) {
-        if let Some(mut state) = self.lock().take() {
-            state.sink.finish();
+        let Some(mut state) = self.lock().take() else {
+            return;
+        };
+        if let Err(e) = state.sink.finish() {
+            self.failed(e);
         }
     }
 
@@ -366,9 +377,27 @@ impl Tracer {
     /// this seals the partial page, so everything emitted so far is
     /// visible to a concurrent reader.
     pub fn flush(&self) {
-        if let Some(state) = self.lock().as_mut() {
-            state.sink.flush();
+        let mut guard = self.lock();
+        let Some(state) = guard.as_mut() else {
+            return;
+        };
+        if let Err(e) = state.sink.flush() {
+            // Nothing more goes to a sink that failed.
+            *guard = None;
+            drop(guard);
+            self.failed(e);
         }
+    }
+
+    /// Reports a failed sink write (see the type's documentation). The
+    /// caller has already taken the sink out of service.
+    #[cold]
+    fn failed(&self, e: std::io::Error) {
+        let env = run::env_var("PARD_TRACE", self, |c| c.tracer.as_deref());
+        run::sink_failed(
+            env,
+            &format!("cannot write the trace to {:?}: {e}", self.path),
+        );
     }
 
     /// Total events emitted (post-filter, post-sampling) into this tracer.
@@ -392,13 +421,15 @@ impl Tracer {
         let Some(state) = guard.as_mut() else {
             return;
         };
-        match &mut state.sink {
-            Sink::Binary(w) => {
-                let _ = w.append(cat as u8, time.units(), ds, event, fields.iter().copied());
-            }
-            Sink::Jsonl(w) => {
-                let _ = writeln!(w, "{}", render_line(cat, time, ds, event, fields));
-            }
+        let written = match &mut state.sink {
+            Sink::Binary(w) => w.append(cat as u8, time.units(), ds, event, fields.iter().copied()),
+            Sink::Jsonl(w) => writeln!(w, "{}", render_line(cat, time, ds, event, fields)),
+        };
+        if let Err(e) = written {
+            *guard = None;
+            drop(guard);
+            self.failed(e);
+            return;
         }
         state.emitted += 1;
     }
@@ -804,6 +835,25 @@ mod tests {
         assert_eq!(t.lines_emitted(), 0, "a disabled tracer drops events");
         assert_eq!(lines(&t, &path).len(), 5, "nothing written after disable");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_sink_write_stops_the_tracer() {
+        // A device on which every write fails with "no space left".
+        let full = Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let t = tracer(TraceConfig {
+            filter: vec![(TraceCat::Io, None)],
+            ..TraceConfig::to_file(full)
+        });
+        traced(&t, || emit(TraceCat::Io, Time::ZERO, 0, "dma", &[]));
+        assert_eq!(t.lines_emitted(), 1, "the line waits in the buffer");
+        t.flush();
+        assert_eq!(t.lines_emitted(), 0, "the failed flush stops the tracer");
+        traced(&t, || emit(TraceCat::Io, Time::ZERO, 0, "dma", &[]));
+        assert_eq!(t.lines_emitted(), 0, "nothing more goes to a failed sink");
     }
 
     #[test]

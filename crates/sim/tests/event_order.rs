@@ -358,3 +358,97 @@ fn every_driver_delivers_the_same_schedule() {
         assert_eq!(hooked, reference, "{driver:?}: hook deliveries");
     }
 }
+
+/// Where a forking node sends payload `ev`'s two children, and after how
+/// long: both derive from the sender and the payload alone.
+fn fork(from: u32, ev: u64, fanout: u32) -> [(u32, u64); 2] {
+    [
+        ((from + 1) % fanout, HOP * (1 + ev % 3)),
+        ((from + ev as u32) % fanout, HOP * (2 + u64::from(from % 2))),
+    ]
+}
+
+/// A node that forwards two copies of a decremented payload until it
+/// reaches zero, so one seed of payload `d` grows to 2^d pending events.
+struct ForkNode {
+    fanout: u32,
+}
+
+impl Component<u64> for ForkNode {
+    fn name(&self) -> &str {
+        "fork-node"
+    }
+    fn handle(&mut self, ev: u64, ctx: &mut Ctx<'_, u64>) {
+        if ev == 0 {
+            return;
+        }
+        for (dst, delay) in fork(ctx.self_id().raw(), ev, self.fanout) {
+            ctx.send(ComponentId::from_raw(dst), Time::from_units(delay), ev - 1);
+        }
+    }
+    pard_sim::impl_as_any!();
+}
+
+/// Seeds a few forking trees far apart in time, so the kernel's pending
+/// set grows from a handful of events past the queue's 64-key sorted run
+/// and drains back below 16 several times mid-run. The kernel must
+/// deliver the `(time, dst, payload)` sequence of a `BinaryHeap` executor
+/// fed the same pushes, whichever layout holds the keys at the time.
+#[test]
+fn a_pending_set_crossing_the_run_bound_delivers_the_reference_schedule() {
+    let n = 5u32;
+    let seeds: Vec<(u32, u64, u64)> = (0..4u64)
+        .flat_map(|k| {
+            [
+                (k as u32 % n, k * 1_000 * HOP, 8),
+                (3, k * 1_000 * HOP + HOP, 7),
+            ]
+        })
+        .collect();
+    let until = 10_000 * HOP;
+
+    // The reference: a min-heap keyed by `(time, seq)`, counting how often
+    // its pending set rises past 64 and falls back to 16.
+    let mut pending = BinaryHeap::new();
+    let mut seq = 0u64;
+    for &(dst, at, payload) in &seeds {
+        pending.push(Reverse((at, seq, dst, payload)));
+        seq += 1;
+    }
+    let mut reference = Vec::new();
+    let (mut above, mut rises, mut falls) = (false, 0, 0);
+    while let Some(Reverse((t, _, dst, ev))) = pending.pop() {
+        reference.push((t, dst, ev));
+        if ev > 0 {
+            for (next, delay) in fork(dst, ev, n) {
+                pending.push(Reverse((t + delay, seq, next, ev - 1)));
+                seq += 1;
+            }
+        }
+        if !above && pending.len() > 64 {
+            (above, rises) = (true, rises + 1);
+        } else if above && pending.len() <= 16 {
+            (above, falls) = (false, falls + 1);
+        }
+    }
+    assert!(
+        rises >= 3 && falls >= 3,
+        "{rises} rises past 64, {falls} falls to 16"
+    );
+    assert!(reference.last().unwrap().0 < until);
+
+    let mut sim: Simulation<u64> = Simulation::new();
+    for _ in 0..n {
+        sim.add_component(Box::new(ForkNode { fanout: n }));
+    }
+    for &(dst, at, payload) in &seeds {
+        sim.post(ComponentId::from_raw(dst), Time::from_units(at), payload);
+    }
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&log);
+    sim.set_event_hook(Some(Box::new(move |t, dst, ev: &u64| {
+        sink.lock().unwrap().push((t.units(), dst.raw(), *ev));
+    })));
+    sim.run_until(Time::from_units(until));
+    assert_eq!(*log.lock().unwrap(), reference);
+}
