@@ -3,8 +3,8 @@
 //! via throughput of the end-to-end machine, plus model-cost comparisons
 //! of the PARD data-path features.
 
-use pard_bench::harness::{black_box, criterion_group, criterion_main, Criterion};
 use pard::{LDomSpec, PardServer, SystemConfig, Time};
+use pard_bench::harness::{black_box, criterion_group, criterion_main, Criterion};
 use pard_dram::{Bank, DramTiming, RankTracker};
 use pard_workloads::{CacheFlush, Stream, StreamConfig};
 

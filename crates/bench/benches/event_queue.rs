@@ -522,9 +522,7 @@ fn main() {
                     }
                 }
             }
-            Err(_) => println!(
-                "(PARD_BENCH_BASELINE unset: skipping the 5% kernel-rate gate)"
-            ),
+            Err(_) => println!("(PARD_BENCH_BASELINE unset: skipping the 5% kernel-rate gate)"),
         }
         if failed {
             std::process::exit(1);

@@ -10,10 +10,10 @@
 //! [`pard_bench::fig09_scenario`]); the emitted `fig09.json` is
 //! byte-identical at every `PARD_THREADS` setting.
 
+use pard_bench::duration_scale;
 use pard_bench::fig09_scenario::run_timeline;
 use pard_bench::json::JsonValue;
 use pard_bench::output::{print_series, save_json};
-use pard_bench::duration_scale;
 
 fn main() {
     let run = run_timeline(duration_scale(), &pard_sim::RunConfig::from_env());

@@ -64,7 +64,11 @@ fn main() {
         }
         println!(
             "  ide drops={} bytes={}  nic delivered={} dropped={}  hi prio={} waymask={:#06x}",
-            r.ide_drops, r.ide_bytes, r.nic_frames, r.nic_dropped, r.hi_priority_after,
+            r.ide_drops,
+            r.ide_bytes,
+            r.nic_frames,
+            r.nic_dropped,
+            r.hi_priority_after,
             r.hi_waymask_after
         );
     }

@@ -55,9 +55,9 @@ fn main() {
     }
 
     match check_armed_dominates(&cells) {
-        Ok(()) => println!(
-            "\narmed fleet manager dominates the disarmed baseline at the highest ratio"
-        ),
+        Ok(()) => {
+            println!("\narmed fleet manager dominates the disarmed baseline at the highest ratio")
+        }
         Err(msg) => println!("\nWARNING: {msg}"),
     }
 

@@ -104,7 +104,9 @@ fn main() -> ExitCode {
     }
 
     let Some(path) = file else {
-        eprintln!("usage: pard-trace --check FILE [--require cats] | --replay [FILE] | FILE [--from N]");
+        eprintln!(
+            "usage: pard-trace --check FILE [--require cats] | --replay [FILE] | FILE [--from N]"
+        );
         return ExitCode::FAILURE;
     };
     validate(&path, &require, !check, from)

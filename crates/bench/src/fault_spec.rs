@@ -90,11 +90,15 @@ pub fn parse_plan(text: &str) -> Result<FaultPlan, SpecError> {
 fn window(ev: &JsonValue) -> Result<(Time, Time), SpecError> {
     let pick = |us: &str, ns: &str| -> Result<Option<Time>, SpecError> {
         if let Some(v) = ev.get(us) {
-            let v = v.as_u64().ok_or_else(|| err(format!("{us} must be a u64")))?;
+            let v = v
+                .as_u64()
+                .ok_or_else(|| err(format!("{us} must be a u64")))?;
             return Ok(Some(Time::from_us(v)));
         }
         if let Some(v) = ev.get(ns) {
-            let v = v.as_u64().ok_or_else(|| err(format!("{ns} must be a u64")))?;
+            let v = v
+                .as_u64()
+                .ok_or_else(|| err(format!("{ns} must be a u64")))?;
             return Ok(Some(Time::from_ns(v)));
         }
         Ok(None)

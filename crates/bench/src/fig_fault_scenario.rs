@@ -117,11 +117,7 @@ pub fn default_plan(tl: Timeline) -> FaultPlan {
                 drop_one_in: 12,
             },
         )
-        .with(
-            tl.t_fault,
-            tl.total,
-            FaultKind::NicFlap { loss_pct: 25 },
-        )
+        .with(tl.t_fault, tl.total, FaultKind::NicFlap { loss_pct: 25 })
 }
 
 /// Per-phase L1-miss service-latency statistics for one LDom's core.

@@ -107,10 +107,26 @@ pub fn check_armed_dominates(cells: &[FleetCell]) -> Result<(), String> {
     };
     let (off, on) = (find(false)?, find(true)?);
     let pairs = [
-        ("guaranteed.attain_p95", off.outcome.guaranteed.attain_p95, on.outcome.guaranteed.attain_p95),
-        ("guaranteed.attain_p99", off.outcome.guaranteed.attain_p99, on.outcome.guaranteed.attain_p99),
-        ("best_effort.attain_p95", off.outcome.best_effort.attain_p95, on.outcome.best_effort.attain_p95),
-        ("best_effort.attain_p99", off.outcome.best_effort.attain_p99, on.outcome.best_effort.attain_p99),
+        (
+            "guaranteed.attain_p95",
+            off.outcome.guaranteed.attain_p95,
+            on.outcome.guaranteed.attain_p95,
+        ),
+        (
+            "guaranteed.attain_p99",
+            off.outcome.guaranteed.attain_p99,
+            on.outcome.guaranteed.attain_p99,
+        ),
+        (
+            "best_effort.attain_p95",
+            off.outcome.best_effort.attain_p95,
+            on.outcome.best_effort.attain_p95,
+        ),
+        (
+            "best_effort.attain_p99",
+            off.outcome.best_effort.attain_p99,
+            on.outcome.best_effort.attain_p99,
+        ),
     ];
     for (name, disarmed, armed) in pairs {
         if armed < disarmed {

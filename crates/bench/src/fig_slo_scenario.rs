@@ -103,8 +103,7 @@ pub fn run_span(block: u64, total: Time, policy_at: Time) -> FigSloRun {
                 .lock()
                 .stat(DsId::new(i), "dma_bytes")
                 .unwrap_or_default();
-            let rate_mbps =
-                (bytes - last_bytes[i as usize]) as f64 / sample.as_secs() / 1e6;
+            let rate_mbps = (bytes - last_bytes[i as usize]) as f64 / sample.as_secs() / 1e6;
             last_bytes[i as usize] = bytes;
             admitted[i as usize].push((server.now().as_ms(), rate_mbps));
         }

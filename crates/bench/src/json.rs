@@ -354,8 +354,7 @@ impl Parser<'_> {
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
-                                    let combined =
-                                        0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                                     char::from_u32(combined)
                                 } else {
                                     None
@@ -642,8 +641,7 @@ mod tests {
 
     #[test]
     fn parse_decodes_escapes_and_number_shapes() {
-        let v = JsonValue::parse(r#"["Aé😀", 1e3, -2.5, 18446744073709551615]"#)
-            .unwrap();
+        let v = JsonValue::parse(r#"["Aé😀", 1e3, -2.5, 18446744073709551615]"#).unwrap();
         let JsonValue::Array(items) = v else {
             panic!("expected array")
         };

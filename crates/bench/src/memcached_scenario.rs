@@ -102,13 +102,23 @@ pub struct MemcachedPoint {
 /// (but launches only what the mode requires). Returns the server and the
 /// memcached LDom's DS-id.
 pub fn build_memcached_server(s: &MemcachedScenario) -> (PardServer, DsId) {
-    build_memcached_inner(s, s.mode != MemcachedMode::Solo, true, &RunConfig::from_env())
+    build_memcached_inner(
+        s,
+        s.mode != MemcachedMode::Solo,
+        true,
+        &RunConfig::from_env(),
+    )
 }
 
 /// Like [`build_memcached_server`] but without installing the trigger
 /// rule, so harnesses can install a variant (threshold sweeps).
 pub fn build_memcached_server_no_rule(s: &MemcachedScenario) -> (PardServer, DsId) {
-    build_memcached_inner(s, s.mode != MemcachedMode::Solo, false, &RunConfig::from_env())
+    build_memcached_inner(
+        s,
+        s.mode != MemcachedMode::Solo,
+        false,
+        &RunConfig::from_env(),
+    )
 }
 
 /// Builds the Figure 9 scenario: PARD server with memcached launched and

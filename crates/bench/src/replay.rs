@@ -238,8 +238,7 @@ pub fn stream_trace_lines(
         loop {
             let Some(next) = events.next() else { break };
             let ev = next.map_err(|e| vec![format!("{path}: {e}")])?;
-            let line =
-                trace::render_stored(&ev).map_err(|e| vec![format!("{path}: {e}")])?;
+            let line = trace::render_stored(&ev).map_err(|e| vec![format!("{path}: {e}")])?;
             lineno += 1;
             f(lineno, &line).map_err(|e| vec![e])?;
         }
@@ -313,7 +312,10 @@ mod tests {
             "\n",
         );
         let errs = check(overdraw).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("quota invariant")), "{errs:?}");
+        assert!(
+            errs.iter().any(|e| e.contains("quota invariant")),
+            "{errs:?}"
+        );
 
         // Clock regression is collected, not fatal.
         let regress = concat!(
@@ -323,7 +325,10 @@ mod tests {
             "\n",
         );
         let errs = check(regress).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("clock invariant")), "{errs:?}");
+        assert!(
+            errs.iter().any(|e| e.contains("clock invariant")),
+            "{errs:?}"
+        );
 
         // Schema failures abort immediately.
         assert!(check("not json\n").is_err());

@@ -156,8 +156,7 @@ fn tracing_does_not_perturb_figure_output() {
     let content = std::fs::read_to_string(&path).expect("read trace");
     let mut events = 0u64;
     for (lineno, line) in content.lines().enumerate() {
-        let v = JsonValue::parse(line)
-            .unwrap_or_else(|e| panic!("trace line {}: {e}", lineno + 1));
+        let v = JsonValue::parse(line).unwrap_or_else(|e| panic!("trace line {}: {e}", lineno + 1));
         assert!(v.get("time").and_then(JsonValue::as_f64).is_some());
         assert!(v.get("ds").and_then(JsonValue::as_u64).is_some());
         assert!(v.get("cat").and_then(JsonValue::as_str).is_some());

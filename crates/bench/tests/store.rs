@@ -91,7 +91,6 @@ fn capture_fig09(path: &PathBuf, auditor: &Arc<Auditor>) -> Vec<String> {
     decoded_lines(path)
 }
 
-
 #[test]
 fn binary_store_round_trips_figure_traces_and_seeks() {
     let dir = std::env::temp_dir().join(format!("pard-store-it-{}", std::process::id()));
@@ -159,8 +158,8 @@ fn binary_store_round_trips_figure_traces_and_seeks() {
         reader.data_pages()
     );
     drop(reader);
-    let (report, torn) = check_trace_file(ptr_t1_path.to_str().unwrap())
-        .unwrap_or_else(|errs| panic!("{errs:?}"));
+    let (report, torn) =
+        check_trace_file(ptr_t1_path.to_str().unwrap()).unwrap_or_else(|errs| panic!("{errs:?}"));
     assert_eq!(report.total, binary_t1.len() as u64);
     assert!(torn.is_none());
 

@@ -10,9 +10,7 @@ use pard_sim::trace::{self, TraceCat, TraceVal};
 use pard_sim::{audit, Component, ComponentId, Ctx, Time};
 
 use crate::array::TagArray;
-use crate::cpdef::{
-    llc_control_plane, STAT_CAPACITY, STAT_HIT_CNT, STAT_MISS_CNT, STAT_MISS_RATE,
-};
+use crate::cpdef::{llc_control_plane, STAT_CAPACITY, STAT_HIT_CNT, STAT_MISS_CNT, STAT_MISS_RATE};
 use crate::geometry::CacheGeometry;
 use crate::mshr::{mshr_waiter, Mshr, MshrKey, MshrOutcome};
 
@@ -325,7 +323,11 @@ impl Llc {
             // associativity; an empty clip falls back to all ways, the
             // tag array's own semantics).
             let ways = self.cfg.geometry.ways();
-            let full = if ways >= 64 { u64::MAX } else { (1u64 << ways) - 1 };
+            let full = if ways >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << ways) - 1
+            };
             let clipped = mask & full;
             let effective = if clipped == 0 { full } else { clipped };
             if effective & (1u64 << outcome.way) == 0 {
@@ -374,7 +376,13 @@ impl Llc {
                     dma: false,
                 };
                 if audit::enabled() {
-                    audit::packet_inject(audit::Domain::Mem, wb.reply_to.raw(), wb.id.0, wb.ds.raw(), ctx.now());
+                    audit::packet_inject(
+                        audit::Domain::Mem,
+                        wb.reply_to.raw(),
+                        wb.id.0,
+                        wb.ds.raw(),
+                        ctx.now(),
+                    );
                 }
                 ctx.send(self.mem_ctrl, Time::ZERO, PardEvent::MemReq(wb));
             }
@@ -427,7 +435,9 @@ impl Llc {
                     let rate = 100 * self.win_misses[i] / total;
                     let _ = cp.stats().set(ds, STAT_MISS_RATE, rate);
                 }
-                let _ = cp.stats().set(ds, STAT_CAPACITY, self.array.occupancy_bytes(ds));
+                let _ = cp
+                    .stats()
+                    .set(ds, STAT_CAPACITY, self.array.occupancy_bytes(ds));
                 if audit::enabled() {
                     // Capacity accounting: the published statistic must read
                     // back as exactly the live tag-array occupancy.

@@ -32,39 +32,39 @@ fn plru_victim_respects_mask() {
 /// lines, across any interleaving of fills and invalidations.
 #[test]
 fn occupancy_counters_stay_exact() {
-    cases("cache.occupancy_counters_stay_exact", DEFAULT_CASES, |rng| {
-        let ops = vec_of(rng, 1..200, |r| {
-            (
-                r.gen_range(0u16..4),
-                r.gen_range(0u64..64),
-                r.gen_bool(0.5),
-            )
-        });
-        let mut a = TagArray::new(small_geom(), 4);
-        let mut resident: std::collections::HashSet<(u16, u64)> = Default::default();
-        for &(ds_raw, line, invalidate) in &ops {
-            let ds = DsId::new(ds_raw);
-            let addr = LAddr::new(line * 64);
-            if invalidate {
-                a.invalidate_ds(ds);
-                resident.retain(|&(d, _)| d != ds_raw);
-            } else if a.probe(ds, addr).is_none() {
-                let out = a.fill(ds, addr, u64::MAX, false);
-                resident.insert((ds_raw, addr.line_base().raw()));
-                if let Some(v) = out.evicted {
-                    resident.remove(&(v.owner.raw(), v.addr.raw()));
+    cases(
+        "cache.occupancy_counters_stay_exact",
+        DEFAULT_CASES,
+        |rng| {
+            let ops = vec_of(rng, 1..200, |r| {
+                (r.gen_range(0u16..4), r.gen_range(0u64..64), r.gen_bool(0.5))
+            });
+            let mut a = TagArray::new(small_geom(), 4);
+            let mut resident: std::collections::HashSet<(u16, u64)> = Default::default();
+            for &(ds_raw, line, invalidate) in &ops {
+                let ds = DsId::new(ds_raw);
+                let addr = LAddr::new(line * 64);
+                if invalidate {
+                    a.invalidate_ds(ds);
+                    resident.retain(|&(d, _)| d != ds_raw);
+                } else if a.probe(ds, addr).is_none() {
+                    let out = a.fill(ds, addr, u64::MAX, false);
+                    resident.insert((ds_raw, addr.line_base().raw()));
+                    if let Some(v) = out.evicted {
+                        resident.remove(&(v.owner.raw(), v.addr.raw()));
+                    }
+                }
+                // Invariant: counters match the ground truth set.
+                for d in 0..4u16 {
+                    let expected = resident.iter().filter(|&&(dd, _)| dd == d).count() as u64;
+                    assert_eq!(a.occupancy_lines(DsId::new(d)), expected);
                 }
             }
-            // Invariant: counters match the ground truth set.
-            for d in 0..4u16 {
-                let expected = resident.iter().filter(|&&(dd, _)| dd == d).count() as u64;
-                assert_eq!(a.occupancy_lines(DsId::new(d)), expected);
-            }
-        }
-        let total: u64 = (0..4u16).map(|d| a.occupancy_lines(DsId::new(d))).sum();
-        assert_eq!(a.total_valid_lines(), total);
-        assert!(total <= small_geom().lines());
-    });
+            let total: u64 = (0..4u16).map(|d| a.occupancy_lines(DsId::new(d))).sum();
+            assert_eq!(a.total_valid_lines(), total);
+            assert!(total <= small_geom().lines());
+        },
+    );
 }
 
 /// A hit is possible only for the (ds, address) pairs actually filled:
@@ -72,8 +72,12 @@ fn occupancy_counters_stay_exact() {
 #[test]
 fn no_cross_ldom_hits() {
     cases("cache.no_cross_ldom_hits", DEFAULT_CASES, |rng| {
-        let fills = vec_of(rng, 1..64, |r| (r.gen_range(0u16..4), r.gen_range(0u64..32)));
-        let probes = vec_of(rng, 1..64, |r| (r.gen_range(0u16..4), r.gen_range(0u64..32)));
+        let fills = vec_of(rng, 1..64, |r| {
+            (r.gen_range(0u16..4), r.gen_range(0u64..32))
+        });
+        let probes = vec_of(rng, 1..64, |r| {
+            (r.gen_range(0u16..4), r.gen_range(0u64..32))
+        });
         let mut a = TagArray::new(small_geom(), 4);
         let mut filled: std::collections::HashSet<(u16, u64)> = Default::default();
         for &(ds, line) in &fills {
@@ -98,18 +102,22 @@ fn no_cross_ldom_hits() {
 /// Fills under a mask place the block in an allowed way.
 #[test]
 fn fills_land_inside_the_partition() {
-    cases("cache.fills_land_inside_the_partition", DEFAULT_CASES, |rng| {
-        let lines = vec_of(rng, 1..64, |r| r.gen_range(0u64..64));
-        let mask = rng.gen_range(1u64..=0xF);
-        let mut a = TagArray::new(small_geom(), 4);
-        for &line in &lines {
-            let addr = LAddr::new(line * 64);
-            if a.probe(DsId::new(1), addr).is_none() {
-                let out = a.fill(DsId::new(1), addr, mask, false);
-                assert!(mask & (1 << out.way) != 0);
+    cases(
+        "cache.fills_land_inside_the_partition",
+        DEFAULT_CASES,
+        |rng| {
+            let lines = vec_of(rng, 1..64, |r| r.gen_range(0u64..64));
+            let mask = rng.gen_range(1u64..=0xF);
+            let mut a = TagArray::new(small_geom(), 4);
+            for &line in &lines {
+                let addr = LAddr::new(line * 64);
+                if a.probe(DsId::new(1), addr).is_none() {
+                    let out = a.fill(DsId::new(1), addr, mask, false);
+                    assert!(mask & (1 << out.way) != 0);
+                }
             }
-        }
-    });
+        },
+    );
 }
 
 /// Geometry round trip: any address reconstructs to its line base.
@@ -168,7 +176,11 @@ impl EntryArray {
     fn fill(&mut self, ds: DsId, addr: LAddr, mask: u64, dirty: bool) -> FillOutcome {
         let (set, tag) = (self.geom.set_of(addr), self.geom.tag_of(addr));
         let ways = self.geom.ways();
-        let full = if ways == 64 { u64::MAX } else { (1 << ways) - 1 };
+        let full = if ways == 64 {
+            u64::MAX
+        } else {
+            (1 << ways) - 1
+        };
         let eff = if mask & full == 0 { full } else { mask & full };
         let way = (0..ways)
             .find(|&w| eff & (1 << w) != 0 && !self.entries[self.idx(set, w)].0)
@@ -224,48 +236,59 @@ impl EntryArray {
 /// probes and LDom invalidations with random way masks.
 #[test]
 fn tag_array_matches_the_per_way_entry_model() {
-    cases("cache.tag_array_matches_the_per_way_entry_model", DEFAULT_CASES, |rng| {
-        let ways = 1u32 << rng.gen_range(1u32..=6);
-        let sets = 1u64 << rng.gen_range(0u32..=3);
-        let geom = CacheGeometry::new(sets * u64::from(ways) * 64, ways, 64);
-        // DS-ids past `max_ds` own lines but have no occupancy counter.
-        let (max_ds, ds_ids) = (4, 6u16);
-        let mut a = TagArray::new(geom, max_ds);
-        let mut m = EntryArray::new(geom, max_ds);
-        let span = geom.lines() * 2;
-        for step in 0..400 {
-            let ds = DsId::new(rng.gen_range(0..ds_ids));
-            let addr = LAddr::new(rng.gen_range(0..span) * 64 + rng.gen_range(0u64..64));
-            let mask = match rng.gen_range(0u32..4) {
-                0 => u64::MAX,
-                1 => 0,
-                _ => rng.next_u64() & rng.next_u64(),
-            };
-            let at = format!("step {step}, {geom:?}, {ds:?} {addr:?}");
-            match rng.gen_range(0u32..10) {
-                0..=3 => {
-                    if m.probe(ds, addr).is_none() {
-                        let dirty = rng.gen_bool(0.3);
-                        assert_eq!(a.fill(ds, addr, mask, dirty), m.fill(ds, addr, mask, dirty), "{at}");
+    cases(
+        "cache.tag_array_matches_the_per_way_entry_model",
+        DEFAULT_CASES,
+        |rng| {
+            let ways = 1u32 << rng.gen_range(1u32..=6);
+            let sets = 1u64 << rng.gen_range(0u32..=3);
+            let geom = CacheGeometry::new(sets * u64::from(ways) * 64, ways, 64);
+            // DS-ids past `max_ds` own lines but have no occupancy counter.
+            let (max_ds, ds_ids) = (4, 6u16);
+            let mut a = TagArray::new(geom, max_ds);
+            let mut m = EntryArray::new(geom, max_ds);
+            let span = geom.lines() * 2;
+            for step in 0..400 {
+                let ds = DsId::new(rng.gen_range(0..ds_ids));
+                let addr = LAddr::new(rng.gen_range(0..span) * 64 + rng.gen_range(0u64..64));
+                let mask = match rng.gen_range(0u32..4) {
+                    0 => u64::MAX,
+                    1 => 0,
+                    _ => rng.next_u64() & rng.next_u64(),
+                };
+                let at = format!("step {step}, {geom:?}, {ds:?} {addr:?}");
+                match rng.gen_range(0u32..10) {
+                    0..=3 => {
+                        if m.probe(ds, addr).is_none() {
+                            let dirty = rng.gen_bool(0.3);
+                            assert_eq!(
+                                a.fill(ds, addr, mask, dirty),
+                                m.fill(ds, addr, mask, dirty),
+                                "{at}"
+                            );
+                        }
+                    }
+                    4..=6 => {
+                        let write = rng.gen_bool(0.3);
+                        assert_eq!(a.access(ds, addr, write), m.touch(ds, addr, write), "{at}");
+                    }
+                    7 => assert_eq!(a.mark_dirty(ds, addr), m.touch(ds, addr, true), "{at}"),
+                    8 => assert_eq!(a.probe(ds, addr), m.probe(ds, addr), "{at}"),
+                    _ => {
+                        if rng.gen_bool(0.2) {
+                            assert_eq!(a.invalidate_ds(ds), m.invalidate_ds(ds), "{at}");
+                        }
                     }
                 }
-                4..=6 => {
-                    let write = rng.gen_bool(0.3);
-                    assert_eq!(a.access(ds, addr, write), m.touch(ds, addr, write), "{at}");
+                for d in 0..ds_ids {
+                    let d = DsId::new(d);
+                    assert_eq!(
+                        a.occupancy_lines(d),
+                        m.owned.get(d.index()).copied().unwrap_or(0)
+                    );
                 }
-                7 => assert_eq!(a.mark_dirty(ds, addr), m.touch(ds, addr, true), "{at}"),
-                8 => assert_eq!(a.probe(ds, addr), m.probe(ds, addr), "{at}"),
-                _ => {
-                    if rng.gen_bool(0.2) {
-                        assert_eq!(a.invalidate_ds(ds), m.invalidate_ds(ds), "{at}");
-                    }
-                }
+                assert_eq!(a.total_valid_lines(), m.owned.iter().sum::<u64>(), "{at}");
             }
-            for d in 0..ds_ids {
-                let d = DsId::new(d);
-                assert_eq!(a.occupancy_lines(d), m.owned.get(d.index()).copied().unwrap_or(0));
-            }
-            assert_eq!(a.total_valid_lines(), m.owned.iter().sum::<u64>(), "{at}");
-        }
-    });
+        },
+    );
 }

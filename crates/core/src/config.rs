@@ -267,7 +267,10 @@ mod tests {
         assert_eq!(built.cores, preset.cores);
         assert_eq!(built.max_ds, preset.max_ds);
         assert_eq!(built.seed, preset.seed);
-        assert_eq!(built.llc.geometry.size_bytes(), preset.llc.geometry.size_bytes());
+        assert_eq!(
+            built.llc.geometry.size_bytes(),
+            preset.llc.geometry.size_bytes()
+        );
     }
 
     #[test]

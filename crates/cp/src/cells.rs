@@ -63,7 +63,10 @@ impl StatKey {
     /// Panics (at compile time in const contexts) if `offset` exceeds the
     /// CPA `addr` register's 14-bit column field.
     pub const fn at(offset: usize) -> Self {
-        assert!(offset < (1 << 14), "StatKey offset exceeds the 14-bit CPA column field");
+        assert!(
+            offset < (1 << 14),
+            "StatKey offset exceeds the 14-bit CPA column field"
+        );
         StatKey(offset as u16)
     }
 
@@ -110,7 +113,10 @@ impl StatsCells {
     /// Panics if `columns` is empty or `rows` is zero (same contract as
     /// [`DsTable::new`](crate::DsTable::new)).
     pub fn new(columns: Vec<ColumnDef>, rows: usize) -> Self {
-        assert!(!columns.is_empty(), "a statistics table needs at least one column");
+        assert!(
+            !columns.is_empty(),
+            "a statistics table needs at least one column"
+        );
         assert!(rows > 0, "a statistics table needs at least one row");
         let stride = columns.len().next_power_of_two().max(LINE_CELLS);
         let cells: Box<[AtomicU64]> = (0..rows * stride)
@@ -383,10 +389,7 @@ mod tests {
         assert!(c.stride.is_power_of_two());
         assert!(c.stride >= LINE_CELLS);
         // A 9-column schema rounds up to 16.
-        let wide = StatsCells::new(
-            (0..9).map(|_| ColumnDef::new("c")).collect(),
-            2,
-        );
+        let wide = StatsCells::new((0..9).map(|_| ColumnDef::new("c")).collect(), 2);
         assert_eq!(wide.stride, 16);
     }
 
@@ -442,7 +445,11 @@ mod tests {
         ));
         assert!(matches!(
             c.key_at(99),
-            Err(CpError::BadColumn { offset: 99, width: 3, .. })
+            Err(CpError::BadColumn {
+                offset: 99,
+                width: 3,
+                ..
+            })
         ));
         assert!(matches!(
             c.get(DsId::new(0), StatKey::at(99)),

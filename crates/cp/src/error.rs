@@ -136,7 +136,10 @@ mod tests {
         assert!(CpError::BadTableSelect(3).to_string().contains('3'));
         assert!(CpError::BadCommand(9).to_string().contains("0x9"));
         assert!(CpError::BadRegister(0x40).to_string().contains("0x40"));
-        let e = CpError::TriggerColumnOutOfRange { column: 9, width: 4 };
+        let e = CpError::TriggerColumnOutOfRange {
+            column: 9,
+            width: 4,
+        };
         assert!(e.to_string().contains('9'));
         assert!(e.to_string().contains('4'));
         let e = CpError::BadColumn {

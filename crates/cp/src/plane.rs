@@ -564,7 +564,10 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            CpError::TriggerColumnOutOfRange { column: 2, width: 2 }
+            CpError::TriggerColumnOutOfRange {
+                column: 2,
+                width: 2
+            }
         );
         assert!(cp.triggers().get(0).is_none());
         cp.install_trigger(0, Trigger::new(DsId::new(0), 1, CmpOp::Gt, 0))
@@ -629,7 +632,11 @@ mod tests {
         assert_eq!(cp.stat(DsId::new(0), "capacity").unwrap(), 9);
         assert!(matches!(
             cp.stats().key_at(9),
-            Err(CpError::BadColumn { offset: 9, width: 2, .. })
+            Err(CpError::BadColumn {
+                offset: 9,
+                width: 2,
+                ..
+            })
         ));
     }
 
@@ -654,7 +661,9 @@ mod tests {
         assert!(installed.epoch() > default.epoch());
 
         // A bad install leaves the active program untouched.
-        let err = cp.install_policy("when all do waymask param.nope").unwrap_err();
+        let err = cp
+            .install_policy("when all do waymask param.nope")
+            .unwrap_err();
         assert!(matches!(err, CpError::Policy { ref token, .. } if token == "nope"));
         assert_eq!(cp.active_policy().unwrap().epoch(), installed.epoch());
 

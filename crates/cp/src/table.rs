@@ -122,7 +122,10 @@ impl DsTable {
     pub fn must_offset(&self, name: &str) -> usize {
         match self.column_offset(name) {
             Ok(off) => off,
-            Err(e) => panic!("{} table is missing required column {name:?}: {e}", self.name),
+            Err(e) => panic!(
+                "{} table is missing required column {name:?}: {e}",
+                self.name
+            ),
         }
     }
 

@@ -655,10 +655,7 @@ mod tests {
         // slot re-arms and refires on the next sustained degradation.
         assert!(tt.evaluate(DsId::new(1), &[300]).is_empty());
         assert!(tt.evaluate(DsId::new(1), &[100]).is_empty());
-        assert_eq!(
-            tt.evaluate_detailed(DsId::new(1), &[100]).rearmed,
-            vec![0]
-        );
+        assert_eq!(tt.evaluate_detailed(DsId::new(1), &[100]).rearmed, vec![0]);
         assert_eq!(tt.evaluate(DsId::new(1), &[400]), vec![0]);
     }
 

@@ -60,7 +60,11 @@ fn ds_table_is_a_store() {
         });
         let mut t = DsTable::new(
             "p",
-            vec![ColumnDef::new("a"), ColumnDef::new("b"), ColumnDef::new("c")],
+            vec![
+                ColumnDef::new("a"),
+                ColumnDef::new("b"),
+                ColumnDef::new("c"),
+            ],
             16,
         );
         let mut model = std::collections::HashMap::new();
@@ -134,10 +138,20 @@ fn stats_cells_concurrent_adds_match_sequential_oracle() {
         let params = DsTable::new("parameter", vec![ColumnDef::new("enable")], ROWS);
         let stats = DsTable::new(
             "statistics",
-            vec![ColumnDef::new("a"), ColumnDef::new("b"), ColumnDef::new("c")],
+            vec![
+                ColumnDef::new("a"),
+                ColumnDef::new("b"),
+                ColumnDef::new("c"),
+            ],
             ROWS,
         );
-        let cp = shared(ControlPlane::new("TEST_CP", CpType::Cache, params, stats, 8));
+        let cp = shared(ControlPlane::new(
+            "TEST_CP",
+            CpType::Cache,
+            params,
+            stats,
+            8,
+        ));
         let handle = cp.lock().stats_handle();
         let keys = [
             handle.key("a").unwrap(),

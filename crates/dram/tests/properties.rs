@@ -10,19 +10,23 @@ use pard_sim::Time;
 /// is consistent: same row+bank => same 1 KB-aligned region.
 #[test]
 fn decompose_is_bounded_and_consistent() {
-    cases("dram.decompose_is_bounded_and_consistent", DEFAULT_CASES, |rng| {
-        let addr = rng.next_u64();
-        let g = DramGeometry::table2();
-        let loc = g.decompose(MAddr::new(addr));
-        assert!(loc.bank < g.total_banks());
-        assert!(loc.rank < g.ranks);
-        assert_eq!(loc.rank, loc.bank / g.banks_per_rank);
-        assert!(u64::from(loc.col_offset) < u64::from(g.row_bytes));
-        // Same row base => identical (bank, row).
-        let base = addr % g.capacity_bytes / 1024 * 1024;
-        let loc2 = g.decompose(MAddr::new(base));
-        assert_eq!((loc.bank, loc.row), (loc2.bank, loc2.row));
-    });
+    cases(
+        "dram.decompose_is_bounded_and_consistent",
+        DEFAULT_CASES,
+        |rng| {
+            let addr = rng.next_u64();
+            let g = DramGeometry::table2();
+            let loc = g.decompose(MAddr::new(addr));
+            assert!(loc.bank < g.total_banks());
+            assert!(loc.rank < g.ranks);
+            assert_eq!(loc.rank, loc.bank / g.banks_per_rank);
+            assert!(u64::from(loc.col_offset) < u64::from(g.row_bytes));
+            // Same row base => identical (bank, row).
+            let base = addr % g.capacity_bytes / 1024 * 1024;
+            let loc2 = g.decompose(MAddr::new(base));
+            assert_eq!((loc.bank, loc.row), (loc2.bank, loc2.row));
+        },
+    );
 }
 
 /// Bank scheduling obeys causality and the JEDEC floor: data is never

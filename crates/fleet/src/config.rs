@@ -145,7 +145,9 @@ fn parse_min(key: &str, value: &str, min: usize) -> Result<usize, String> {
         .parse::<usize>()
         .map_err(|_| format!("{key}: expected an integer >= {min}, got {value:?}"))?;
     if n < min {
-        return Err(format!("{key}: expected an integer >= {min}, got {value:?}"));
+        return Err(format!(
+            "{key}: expected an integer >= {min}, got {value:?}"
+        ));
     }
     Ok(n)
 }

@@ -226,7 +226,10 @@ impl FleetMachine {
         {
             let mut fw = self.server.firmware().lock();
             let action = format!("/fleet_admit_t{}g{generation}.sh", spec.id);
-            fw.register_action(&action, Action::Script(federation::admit(ds.raw(), classes)));
+            fw.register_action(
+                &action,
+                Action::Script(federation::admit(ds.raw(), classes)),
+            );
             fw.run_action(
                 &action,
                 ActionEnv {
@@ -410,7 +413,10 @@ impl FleetMachine {
     /// the last statistics window) for `tenant`'s live replica here —
     /// the very signal its escalation trigger watches.
     pub fn bandwidth_mbps(&self, tenant: usize) -> Option<u64> {
-        let r = self.replicas.iter().find(|r| r.live && r.tenant == tenant)?;
+        let r = self
+            .replicas
+            .iter()
+            .find(|r| r.live && r.tenant == tenant)?;
         self.server.mem_cp().lock().stat(r.ds, "bandwidth").ok()
     }
 

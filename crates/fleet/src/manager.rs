@@ -1,8 +1,8 @@
 //! The fleet manager: federated PRMs, reactions, and the epoch loop.
 
 use pard::Time;
-use pard_sim::stats::LatencySample;
 use pard_sim::par::par_slices;
+use pard_sim::stats::LatencySample;
 use pard_sim::trace::{self, TraceCat, TraceVal};
 use pard_sim::RunState;
 
@@ -174,12 +174,16 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetOutcome {
                 }
                 let (p95, p99) = (sample.percentile(0.95), sample.percentile(0.99));
                 let (acc, target95, target99) = match spec.tier {
-                    Tier::Guaranteed => {
-                        (&mut guaranteed, cfg.slo.guaranteed_p95, cfg.slo.guaranteed_p99)
-                    }
-                    Tier::BestEffort => {
-                        (&mut best_effort, cfg.slo.best_effort_p95, cfg.slo.best_effort_p99)
-                    }
+                    Tier::Guaranteed => (
+                        &mut guaranteed,
+                        cfg.slo.guaranteed_p95,
+                        cfg.slo.guaranteed_p99,
+                    ),
+                    Tier::BestEffort => (
+                        &mut best_effort,
+                        cfg.slo.best_effort_p95,
+                        cfg.slo.best_effort_p99,
+                    ),
                 };
                 acc.cells += 1;
                 acc.met_p95 += usize::from(p95 <= target95);
@@ -321,7 +325,11 @@ fn least_loaded_other(machines: &[FleetMachine], except: usize) -> usize {
 
 /// Convenience: [`run_fleet`] over [`population`]'s default placement for
 /// a given consolidation ratio and arming, starting from `base`.
-pub fn run_consolidation(base: &FleetConfig, tenants_per_machine: usize, armed: bool) -> FleetOutcome {
+pub fn run_consolidation(
+    base: &FleetConfig,
+    tenants_per_machine: usize,
+    armed: bool,
+) -> FleetOutcome {
     let mut cfg = base.clone();
     cfg.tenants_per_machine = tenants_per_machine;
     cfg.armed = armed;

@@ -61,13 +61,17 @@ fn link_serialises_monotonically() {
 /// At infinite bandwidth the link is pure latency.
 #[test]
 fn latency_only_link_adds_constant() {
-    cases("icn.latency_only_link_adds_constant", DEFAULT_CASES, |rng| {
-        let latency_ns = rng.gen_range(0u64..1000);
-        let bytes = rng.gen_range(1u32..65536);
-        let mut link = Link::latency_only(Time::from_ns(latency_ns));
-        let t0 = link.delivery_time(Time::from_us(1), bytes);
-        let t1 = link.delivery_time(Time::from_us(1), bytes);
-        assert_eq!(t0, Time::from_us(1) + Time::from_ns(latency_ns));
-        assert_eq!(t1, t0);
-    });
+    cases(
+        "icn.latency_only_link_adds_constant",
+        DEFAULT_CASES,
+        |rng| {
+            let latency_ns = rng.gen_range(0u64..1000);
+            let bytes = rng.gen_range(1u32..65536);
+            let mut link = Link::latency_only(Time::from_ns(latency_ns));
+            let t0 = link.delivery_time(Time::from_us(1), bytes);
+            let t1 = link.delivery_time(Time::from_us(1), bytes);
+            assert_eq!(t0, Time::from_us(1) + Time::from_ns(latency_ns));
+            assert_eq!(t1, t0);
+        },
+    );
 }

@@ -453,7 +453,9 @@ mod tests {
             hop_latency: hop,
             ..IoBridgeConfig::default()
         });
-        let sink = sim.add_component(Box::new(TimedSink { arrivals: Vec::new() }));
+        let sink = sim.add_component(Box::new(TimedSink {
+            arrivals: Vec::new(),
+        }));
         bridge.set_ide(sink);
         bridge.set_mem_ctrl(sink);
         let bridge = sim.add_component(Box::new(bridge));

@@ -11,9 +11,9 @@ use pard_icn::{
     DiskDone, DiskKind, DiskRequest, LAddr, MemKind, MemPacket, PacketIdGen, PardEvent, PioResp,
     TickKind,
 };
+use pard_sim::fault::{self, FaultClass};
 use pard_sim::stats::WindowedCounter;
 use pard_sim::trace::{self, TraceCat, TraceVal};
-use pard_sim::fault::{self, FaultClass};
 use pard_sim::{audit, Component, ComponentId, Ctx, Time};
 
 use crate::apic::ide_interrupt;

@@ -288,7 +288,13 @@ impl Nic {
             dma: true,
         };
         if audit::enabled() {
-            audit::packet_inject(audit::Domain::Dma, pkt.reply_to.raw(), pkt.id.0, pkt.ds.raw(), ctx.now());
+            audit::packet_inject(
+                audit::Domain::Dma,
+                pkt.reply_to.raw(),
+                pkt.id.0,
+                pkt.ds.raw(),
+                ctx.now(),
+            );
         }
         ctx.send(self.bridge, Time::ZERO, PardEvent::MemReq(pkt));
 

@@ -18,14 +18,18 @@ fn mac_codec_round_trips() {
 /// Packed MACs stay within 48 bits and are injective on random pairs.
 #[test]
 fn mac_packing_is_48_bit_and_injective() {
-    cases("io.mac_packing_is_48_bit_and_injective", DEFAULT_CASES, |rng| {
-        let a = bytes::<6, _>(rng);
-        let b = bytes::<6, _>(rng);
-        let pa = mac_to_u64(a);
-        let pb = mac_to_u64(b);
-        assert!(pa < (1u64 << 48));
-        assert_eq!(pa == pb, a == b);
-    });
+    cases(
+        "io.mac_packing_is_48_bit_and_injective",
+        DEFAULT_CASES,
+        |rng| {
+            let a = bytes::<6, _>(rng);
+            let b = bytes::<6, _>(rng);
+            let pa = mac_to_u64(a);
+            let pb = mac_to_u64(b);
+            assert!(pa < (1u64 << 48));
+            assert_eq!(pa == pb, a == b);
+        },
+    );
 }
 
 /// APIC route tables behave like a map keyed by DS-id, for any
@@ -34,11 +38,7 @@ fn mac_packing_is_48_bit_and_injective() {
 fn apic_routes_are_a_map() {
     cases("io.apic_routes_are_a_map", DEFAULT_CASES, |rng| {
         let ops = vec_of(rng, 1..100, |r| {
-            (
-                r.gen_range(0u16..16),
-                r.gen_range(0u32..8),
-                r.gen_bool(0.5),
-            )
+            (r.gen_range(0u16..16), r.gen_range(0u32..8), r.gen_bool(0.5))
         });
         let routes = ApicRoutes::new(16);
         let mut model = std::collections::HashMap::new();

@@ -153,9 +153,9 @@ impl Firmware {
                 read: Box::new(move || esc_read.lock().len().to_string()),
                 write: Some(Box::new(move |s| {
                     let s = s.trim();
-                    let (reason, ds) = s
-                        .rsplit_once(char::is_whitespace)
-                        .ok_or_else(|| FwError::BadCommand(format!("escalate: want 'REASON DS', got '{s}'")))?;
+                    let (reason, ds) = s.rsplit_once(char::is_whitespace).ok_or_else(|| {
+                        FwError::BadCommand(format!("escalate: want 'REASON DS', got '{s}'"))
+                    })?;
                     let ds = ds
                         .parse::<u16>()
                         .map_err(|_| FwError::BadCommand(format!("escalate: bad DS-id '{ds}'")))?;
@@ -597,7 +597,16 @@ impl Firmware {
         op: CmpOp,
         value: u64,
     ) -> Result<(), FwError> {
-        self.pardtrigger_with_mode(cpa, ldom, action, stats_column, op, value, TriggerMode::Level, 0)
+        self.pardtrigger_with_mode(
+            cpa,
+            ldom,
+            action,
+            stats_column,
+            op,
+            value,
+            TriggerMode::Level,
+            0,
+        )
     }
 
     /// Like [`pardtrigger`](Self::pardtrigger), but with an explicit trigger
@@ -669,7 +678,10 @@ impl Firmware {
         let cond = match mode {
             TriggerMode::Level => format!("{stats_column} {} {value}", op.mnemonic()),
             TriggerMode::DegradationPct => {
-                format!("{stats_column} degraded {} {value}% (floor {floor})", op.mnemonic())
+                format!(
+                    "{stats_column} degraded {} {value}% (floor {floor})",
+                    op.mnemonic()
+                )
             }
         };
         self.log(format!(
@@ -900,7 +912,12 @@ impl Firmware {
                     };
                     (CmpOp::Ge, pct, TriggerMode::DegradationPct, floor)
                 } else {
-                    (CmpOp::from_mnemonic(op)?, parse_num(val)?, TriggerMode::Level, 0)
+                    (
+                        CmpOp::from_mnemonic(op)?,
+                        parse_num(val)?,
+                        TriggerMode::Level,
+                        0,
+                    )
                 });
             } else {
                 return Err(FwError::BadCommand(tok.to_string()));
@@ -1285,9 +1302,13 @@ echo 0xFF00 > /sys/cpa/cpa$CPA/ldoms/ldom$DS/parameters/waymask
             .create_ldom(LDomSpec::new("t", vec![0], 1 << 20))
             .unwrap();
         let cstats = cache.lock().stats_handle();
-        cstats.set(ds, cstats.key("miss_rate").unwrap(), 33).unwrap();
+        cstats
+            .set(ds, cstats.key("miss_rate").unwrap(), 33)
+            .unwrap();
         let mstats = mem.lock().stats_handle();
-        mstats.set(ds, mstats.key("bandwidth").unwrap(), 1200).unwrap();
+        mstats
+            .set(ds, mstats.key("bandwidth").unwrap(), 1200)
+            .unwrap();
         fw.set_now(Time::from_us(7));
 
         let snap = fw.metrics_snapshot();
@@ -1312,7 +1333,8 @@ echo 0xFF00 > /sys/cpa/cpa$CPA/ldoms/ldom$DS/parameters/waymask
             .unwrap();
 
         // A machine-local trigger whose action escalates to the fleet.
-        fw.pardtrigger(0, ds, 0, "miss_rate", CmpOp::Gt, 30).unwrap();
+        fw.pardtrigger(0, ds, 0, "miss_rate", CmpOp::Gt, 30)
+            .unwrap();
         fw.register_action(
             "/escalate_t0.sh",
             Action::Script("echo overload $DS > /sys/fleet/escalate\n".to_string()),

@@ -53,7 +53,7 @@ pub use error::FwError;
 pub use firmware::{
     Action, ActionEnv, Escalation, Firmware, FirmwareConfig, FwHandle, NativeAction,
 };
-pub use metrics::{DsRow, MetricsRegistry, MetricsSnapshot, PlaneMetrics};
 pub use ldom::{LDomInfo, LDomSpec, Priority};
+pub use metrics::{DsRow, MetricsRegistry, MetricsSnapshot, PlaneMetrics};
 pub use prm::Prm;
 pub use tree::{DeviceFileTree, Node};

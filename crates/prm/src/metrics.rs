@@ -263,7 +263,13 @@ mod tests {
             vec![ColumnDef::new("hits"), ColumnDef::new("misses")],
             4,
         );
-        shared(ControlPlane::new("TEST_CP", CpType::Cache, params, stats, 4))
+        shared(ControlPlane::new(
+            "TEST_CP",
+            CpType::Cache,
+            params,
+            stats,
+            4,
+        ))
     }
 
     #[test]

@@ -111,7 +111,10 @@ pub fn install_composite(
     donor: Option<(u32, u64)>,
     ide_quota: u64,
 ) {
-    fw.register_action(name, Action::Script(composite(extra_ways, donor, ide_quota)));
+    fw.register_action(
+        name,
+        Action::Script(composite(extra_ways, donor, ide_quota)),
+    );
 }
 
 fn indent(script: &str) -> String {

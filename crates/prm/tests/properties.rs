@@ -6,7 +6,9 @@ use pard_sim::check::{cases, string_of, vec_of, DEFAULT_CASES};
 use pard_sim::rng::Rng;
 
 fn any_path(rng: &mut impl Rng) -> Vec<String> {
-    vec_of(rng, 1..4, |r| string_of(r, "abcdefghijklmnopqrstuvwxyz", 1..5))
+    vec_of(rng, 1..4, |r| {
+        string_of(r, "abcdefghijklmnopqrstuvwxyz", 1..5)
+    })
 }
 
 /// The allocator never hands out overlapping regions and never loses

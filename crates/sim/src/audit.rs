@@ -653,7 +653,10 @@ pub fn unexpected_event(component: &'static str, kind: &'static str, time: Time,
             ],
         );
     } else {
-        debug_assert!(false, "{component} received unexpected event {kind} at {time:?}");
+        debug_assert!(
+            false,
+            "{component} received unexpected event {kind} at {time:?}"
+        );
     }
 }
 
@@ -883,7 +886,10 @@ mod tests {
             let _c = c.lend();
             violation(AuditKind::Quota, Time::ZERO, 0, "over", &[]);
         }
-        assert_eq!((auditor.violations_total(), other.violations_total()), (1, 1));
+        assert_eq!(
+            (auditor.violations_total(), other.violations_total()),
+            (1, 1)
+        );
     }
 
     #[test]
@@ -905,7 +911,11 @@ mod tests {
             packet_inject(Domain::Dma, 4, 50, 2, Time::ZERO);
         }));
         assert!(panicked.is_err(), "a duplicate injection aborts");
-        assert_eq!(state.ledger.in_flight(), 1, "the unwinding lend returned the ledger");
+        assert_eq!(
+            state.ledger.in_flight(),
+            1,
+            "the unwinding lend returned the ledger"
+        );
         assert!(!enabled(), "and left nothing lent to the thread");
         assert_eq!(in_flight(), 0);
     }
@@ -916,7 +926,9 @@ mod tests {
     fn env_config_accepts_the_documented_surface() {
         assert!(config_from_env(None, Some("a.jsonl")).unwrap().is_none());
         assert!(config_from_env(Some(""), None).unwrap().is_none());
-        let c = config_from_env(Some("strict"), Some("a.jsonl")).unwrap().unwrap();
+        let c = config_from_env(Some("strict"), Some("a.jsonl"))
+            .unwrap()
+            .unwrap();
         assert_eq!(c.mode, AuditMode::Strict);
         assert_eq!(c.path.as_deref(), Some(std::path::Path::new("a.jsonl")));
         let c = config_from_env(Some("report"), Some("")).unwrap().unwrap();
@@ -928,7 +940,10 @@ mod tests {
     fn env_config_rejects_malformed_values_naming_the_variable() {
         for mode in ["strcit", "STRICT", "on"] {
             let err = config_from_env(Some(mode), None).expect_err("unknown mode");
-            assert!(err.starts_with("PARD_AUDIT: "), "{err:?} must name PARD_AUDIT");
+            assert!(
+                err.starts_with("PARD_AUDIT: "),
+                "{err:?} must name PARD_AUDIT"
+            );
         }
         let err = auditor_from(Some("typo"), Some("a.jsonl")).expect_err("unknown mode");
         assert!(err.starts_with("PARD_AUDIT: "), "{err:?}");
@@ -937,7 +952,10 @@ mod tests {
             .join("audit.jsonl");
         let err = auditor_from(Some("report"), missing.to_str())
             .expect_err("a sink in a missing directory cannot be created");
-        assert!(err.starts_with("PARD_AUDIT_FILE: "), "{err:?} must name PARD_AUDIT_FILE");
+        assert!(
+            err.starts_with("PARD_AUDIT_FILE: "),
+            "{err:?} must name PARD_AUDIT_FILE"
+        );
     }
 
     #[test]

@@ -190,9 +190,7 @@ impl FaultPlan {
 
     /// The union of the classes present in the plan, as a guard mask.
     pub fn class_mask(&self) -> u32 {
-        self.events
-            .iter()
-            .fold(0, |m, e| m | e.kind.class().bit())
+        self.events.iter().fold(0, |m, e| m | e.kind.class().bit())
     }
 }
 

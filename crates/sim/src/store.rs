@@ -293,7 +293,11 @@ const fn crc32_table() -> [u32; 256] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -469,7 +473,10 @@ impl TraceWriter {
             if !self.try_encode(cat, time, ds, event, fields) {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
-                    format!("trace event {event:?} exceeds one page ({} B)", self.page_size),
+                    format!(
+                        "trace event {event:?} exceeds one page ({} B)",
+                        self.page_size
+                    ),
                 ));
             }
         }
@@ -649,10 +656,14 @@ impl TraceReader {
         let page_size = u32::from_le_bytes(head[8..12].try_into().unwrap()) as u64;
         let version = u32::from_le_bytes(head[12..16].try_into().unwrap());
         if version != VERSION {
-            return Err(StoreError::BadHeader(format!("unsupported version {version}")));
+            return Err(StoreError::BadHeader(format!(
+                "unsupported version {version}"
+            )));
         }
         if !(MIN_PAGE_SIZE as u64..=MAX_PAGE_SIZE as u64).contains(&page_size) {
-            return Err(StoreError::BadHeader(format!("implausible page size {page_size}")));
+            return Err(StoreError::BadHeader(format!(
+                "implausible page size {page_size}"
+            )));
         }
         if file_len < page_size {
             return Err(StoreError::BadHeader("truncated header page".into()));
@@ -683,7 +694,9 @@ impl TraceReader {
         self.file
             .seek(SeekFrom::Start((idx + 1) * self.page_size))
             .map_err(|e| format!("seek: {e}"))?;
-        self.file.read_exact(buf).map_err(|e| format!("read: {e}"))?;
+        self.file
+            .read_exact(buf)
+            .map_err(|e| format!("read: {e}"))?;
         let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
         if magic != PAGE_MAGIC {
             return Err("page magic mismatch".to_string());
@@ -702,7 +715,10 @@ impl TraceReader {
         let payload = &buf[PAGE_HEADER_LEN..PAGE_HEADER_LEN + h.payload_len as usize];
         let crc = crc32(payload);
         if crc != h.crc {
-            return Err(format!("CRC mismatch (stored {:08x}, computed {crc:08x})", h.crc));
+            return Err(format!(
+                "CRC mismatch (stored {:08x}, computed {crc:08x})",
+                h.crc
+            ));
         }
         Ok(h)
     }
@@ -755,15 +771,18 @@ impl TraceReader {
     ) -> Result<u64, StoreError> {
         let mut buf = Vec::new();
         let (mut lo, mut hi) = (0u64, self.pages); // [lo, hi)
-        // Shrink `hi` past any torn tail so the search only sees valid
-        // headers. The tail is at most pool+1 pages in practice, so this
-        // loop is short.
+                                                   // Shrink `hi` past any torn tail so the search only sees valid
+                                                   // headers. The tail is at most pool+1 pages in practice, so this
+                                                   // loop is short.
         while hi > lo {
             match self.load_page(hi - 1, &mut buf) {
                 Ok(_) => break,
                 Err(detail) => {
                     if self.any_valid_page_from(hi) {
-                        return Err(StoreError::CorruptPage { page: hi - 1, detail });
+                        return Err(StoreError::CorruptPage {
+                            page: hi - 1,
+                            detail,
+                        });
                     }
                     hi -= 1;
                 }
@@ -865,8 +884,7 @@ impl<'r> Events<'r> {
                     self.tail = Some(TornTail {
                         page: idx,
                         events_recovered: self.next_ordinal,
-                        trailing_bytes: self.reader.file_len
-                            - (idx + 1) * self.reader.page_size,
+                        trailing_bytes: self.reader.file_len - (idx + 1) * self.reader.page_size,
                         detail,
                     });
                     return Ok(false);
@@ -886,7 +904,6 @@ impl<'r> Events<'r> {
         }
         Ok(false)
     }
-
 }
 
 impl Iterator for Events<'_> {
@@ -977,7 +994,9 @@ fn decode_record(
                     return Err("record truncated at f64".to_string());
                 };
                 *pos += 8;
-                Val::F(f64::from_bits(u64::from_le_bytes(bytes.try_into().unwrap())))
+                Val::F(f64::from_bits(u64::from_le_bytes(
+                    bytes.try_into().unwrap(),
+                )))
             }
             TAG_S => Val::S(get_str(payload, pos, dict)?),
             TAG_B_TRUE => Val::B(true),
@@ -1042,11 +1061,18 @@ mod tests {
                 cat: (i % 7) as u8,
                 time: 1000 + i * 17,
                 ds: (i % 5) as u16,
-                event: if i % 3 == 0 { "issue".into() } else { "retire".into() },
+                event: if i % 3 == 0 {
+                    "issue".into()
+                } else {
+                    "retire".into()
+                },
                 fields: vec![
                     ("bank".to_string(), Val::U(i % 16)),
                     ("lat".to_string(), Val::F(0.25 * i as f64)),
-                    ("kind".to_string(), Val::S(if i % 2 == 0 { "rd" } else { "wr" }.into())),
+                    (
+                        "kind".to_string(),
+                        Val::S(if i % 2 == 0 { "rd" } else { "wr" }.into()),
+                    ),
                     ("hot".to_string(), Val::B(i % 4 == 0)),
                 ],
             })
@@ -1056,7 +1082,8 @@ mod tests {
     fn write_all(path: &std::path::Path, config: StoreConfig, events: &[Event]) {
         let mut w = TraceWriter::create(path, config).unwrap();
         for ev in events {
-            w.append(ev.cat, ev.time, ev.ds, &ev.event, ev.field_refs()).unwrap();
+            w.append(ev.cat, ev.time, ev.ds, &ev.event, ev.field_refs())
+                .unwrap();
         }
         w.finish().unwrap();
     }
@@ -1089,18 +1116,27 @@ mod tests {
             let delta = b.wrapping_sub(a);
             assert_eq!(a.wrapping_add(unzigzag(zigzag(delta))), b);
         }
-        assert!(get_varint(&[0x80], &mut 0).is_err(), "truncated varint must fail");
+        assert!(
+            get_varint(&[0x80], &mut 0).is_err(),
+            "truncated varint must fail"
+        );
     }
 
     #[test]
     fn roundtrip_across_many_pages_preserves_every_event() {
         let path = tmp("roundtrip.ptr");
         // Small pages force hundreds of page boundaries and dict resets.
-        let config = StoreConfig { page_size: MIN_PAGE_SIZE, pool_pages: 3 };
+        let config = StoreConfig {
+            page_size: MIN_PAGE_SIZE,
+            pool_pages: 3,
+        };
         let events = sample_events(5000);
         write_all(&path, config, &events);
         let (decoded, tail) = read_all(&path);
-        assert!(tail.is_none(), "clean file must have no torn tail: {tail:?}");
+        assert!(
+            tail.is_none(),
+            "clean file must have no torn tail: {tail:?}"
+        );
         assert_eq!(decoded.len(), events.len());
         assert_eq!(decoded, events);
         // The store must actually be compact: well under the rendered size.
@@ -1118,14 +1154,16 @@ mod tests {
         let mut w = TraceWriter::create(&path, StoreConfig::default()).unwrap();
         let events = sample_events(10);
         for ev in &events[..7] {
-            w.append(ev.cat, ev.time, ev.ds, &ev.event, ev.field_refs()).unwrap();
+            w.append(ev.cat, ev.time, ev.ds, &ev.event, ev.field_refs())
+                .unwrap();
         }
         w.flush().unwrap();
         let (decoded, _) = read_all(&path);
         assert_eq!(decoded.len(), 7, "flush must publish the partial page");
         // Appends continue on a fresh page; the final file has all 10.
         for ev in &events[7..] {
-            w.append(ev.cat, ev.time, ev.ds, &ev.event, ev.field_refs()).unwrap();
+            w.append(ev.cat, ev.time, ev.ds, &ev.event, ev.field_refs())
+                .unwrap();
         }
         w.finish().unwrap();
         drop(w);
@@ -1136,7 +1174,10 @@ mod tests {
     #[test]
     fn torn_final_page_recovers_prefix_and_reports_tail() {
         let path = tmp("torn.ptr");
-        let config = StoreConfig { page_size: MIN_PAGE_SIZE, pool_pages: 2 };
+        let config = StoreConfig {
+            page_size: MIN_PAGE_SIZE,
+            pool_pages: 2,
+        };
         let events = sample_events(1200);
         write_all(&path, config, &events);
         let full = read_all(&path).0;
@@ -1153,7 +1194,11 @@ mod tests {
         let (decoded, tail) = read_all(&path);
         let tail = tail.expect("truncation mid-page must be reported");
         assert!(decoded.len() < events.len());
-        assert_eq!(decoded.as_slice(), &events[..decoded.len()], "recovered prefix must be exact");
+        assert_eq!(
+            decoded.as_slice(),
+            &events[..decoded.len()],
+            "recovered prefix must be exact"
+        );
         assert_eq!(tail.events_recovered, decoded.len() as u64);
         assert!(tail.trailing_bytes > 0);
 
@@ -1168,26 +1213,32 @@ mod tests {
             .events()
             .find_map(|res| res.err())
             .expect("mid-file corruption must surface an error");
-        assert!(matches!(err, StoreError::CorruptPage { page: 1, .. }), "{err}");
+        assert!(
+            matches!(err, StoreError::CorruptPage { page: 1, .. }),
+            "{err}"
+        );
     }
 
     #[test]
     fn seek_by_ordinal_and_time_match_full_scan_suffix() {
         let path = tmp("seek.ptr");
-        let config = StoreConfig { page_size: MIN_PAGE_SIZE, pool_pages: 4 };
+        let config = StoreConfig {
+            page_size: MIN_PAGE_SIZE,
+            pool_pages: 4,
+        };
         let events = sample_events(3000);
         write_all(&path, config, &events);
         let mut r = TraceReader::open(&path).unwrap();
 
         for &ord in &[0u64, 1, 17, 1499, 2999] {
-            let suffix: Vec<Event> = r
-                .seek_event(ord)
-                .unwrap()
-                .map(Result::unwrap)
-                .collect();
+            let suffix: Vec<Event> = r.seek_event(ord).unwrap().map(Result::unwrap).collect();
             assert_eq!(suffix.as_slice(), &events[ord as usize..], "ordinal {ord}");
         }
-        assert_eq!(r.seek_event(3000).unwrap().count(), 0, "past-the-end seek is empty");
+        assert_eq!(
+            r.seek_event(3000).unwrap().count(),
+            0,
+            "past-the-end seek is empty"
+        );
 
         // Time seek: first event with time >= t.
         let t = events[1234].time;
@@ -1206,19 +1257,30 @@ mod tests {
     fn writer_rejects_bad_configs_and_oversized_events() {
         assert!(TraceWriter::create(
             tmp("bad.ptr"),
-            StoreConfig { page_size: 16, pool_pages: 1 }
+            StoreConfig {
+                page_size: 16,
+                pool_pages: 1
+            }
         )
         .is_err());
         assert!(TraceWriter::create(
             tmp("bad.ptr"),
-            StoreConfig { page_size: DEFAULT_PAGE_SIZE, pool_pages: 0 }
+            StoreConfig {
+                page_size: DEFAULT_PAGE_SIZE,
+                pool_pages: 0
+            }
         )
         .is_err());
 
         let path = tmp("oversize.ptr");
-        let mut w =
-            TraceWriter::create(&path, StoreConfig { page_size: MIN_PAGE_SIZE, pool_pages: 1 })
-                .unwrap();
+        let mut w = TraceWriter::create(
+            &path,
+            StoreConfig {
+                page_size: MIN_PAGE_SIZE,
+                pool_pages: 1,
+            },
+        )
+        .unwrap();
         let huge = "x".repeat(2 * MIN_PAGE_SIZE);
         let err = w
             .append(0, 0, 0, &huge, std::iter::empty())
@@ -1230,6 +1292,9 @@ mod tests {
     fn reader_rejects_non_store_files() {
         let path = tmp("not-a-store");
         std::fs::write(&path, b"{\"time\":1}\n").unwrap();
-        assert!(matches!(TraceReader::open(&path), Err(StoreError::BadHeader(_))));
+        assert!(matches!(
+            TraceReader::open(&path),
+            Err(StoreError::BadHeader(_))
+        ));
     }
 }

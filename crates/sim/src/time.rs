@@ -333,7 +333,10 @@ mod tests {
     fn constructors_accept_the_largest_representable_values() {
         // The largest input for each unit that still fits in u64 units.
         assert_eq!(Time::from_ns(u64::MAX / 4).units(), (u64::MAX / 4) * 4);
-        assert_eq!(Time::from_us(u64::MAX / 4_000).units(), (u64::MAX / 4_000) * 4_000);
+        assert_eq!(
+            Time::from_us(u64::MAX / 4_000).units(),
+            (u64::MAX / 4_000) * 4_000
+        );
         assert_eq!(
             Time::from_ms(u64::MAX / 4_000_000).units(),
             (u64::MAX / 4_000_000) * 4_000_000

@@ -563,7 +563,13 @@ pub fn emit(cat: TraceCat, time: Time, ds: u16, event: &str, fields: &[(&str, Tr
 }
 
 /// Renders one trace event as its JSONL line.
-fn render_line(cat: TraceCat, time: Time, ds: u16, event: &str, fields: &[(&str, TraceVal)]) -> String {
+fn render_line(
+    cat: TraceCat,
+    time: Time,
+    ds: u16,
+    event: &str,
+    fields: &[(&str, TraceVal)],
+) -> String {
     let mut line = render_prefix(cat, time.units(), ds, event);
     render_fields(&mut line, fields.iter().copied());
     line.push('}');
@@ -611,7 +617,10 @@ fn render_prefix(cat: TraceCat, time_units: u64, ds: u16, event: &str) -> String
 /// ([`TraceVal`]) and the store-decode path ([`store::Event`]) share this
 /// one formatter, which is what makes the two sinks byte-equivalent by
 /// construction.
-pub(crate) fn render_fields<'a>(line: &mut String, fields: impl Iterator<Item = (&'a str, ValRef<'a>)>) {
+pub(crate) fn render_fields<'a>(
+    line: &mut String,
+    fields: impl Iterator<Item = (&'a str, ValRef<'a>)>,
+) {
     use std::fmt::Write as _;
     for (key, val) in fields {
         let _ = write!(line, ",\"{key}\":");
@@ -642,11 +651,14 @@ pub(crate) fn format_ns(t: Time) -> String {
         format!("{whole}")
     } else {
         // Quarter-ns resolution: the fraction is always .25/.5/.75.
-        format!("{whole}.{}", match frac {
-            1 => "25",
-            2 => "5",
-            _ => "75",
-        })
+        format!(
+            "{whole}.{}",
+            match frac {
+                1 => "25",
+                2 => "5",
+                _ => "75",
+            }
+        )
     }
 }
 
@@ -951,7 +963,10 @@ mod tests {
     fn env_config_accepts_the_documented_surface() {
         let c = config_from_env("out.ptr", Some("llc,trigger:2"), Some("kernel:64")).unwrap();
         assert_eq!(c.path, Path::new("out.ptr"));
-        assert_eq!(c.filter, vec![(TraceCat::Llc, None), (TraceCat::Trigger, Some(2))]);
+        assert_eq!(
+            c.filter,
+            vec![(TraceCat::Llc, None), (TraceCat::Trigger, Some(2))]
+        );
         assert_eq!(c.sample, vec![(TraceCat::Kernel, 64)]);
         // Unset extras trace everything at the default sampling.
         let c = config_from_env("out.jsonl", None, None).unwrap();
@@ -969,8 +984,8 @@ mod tests {
             (None, Some("llc:0"), "PARD_TRACE_SAMPLE"),
         ];
         for (filter, sample, var) in cases {
-            let err = config_from_env("t", filter, sample)
-                .expect_err("malformed value must be rejected");
+            let err =
+                config_from_env("t", filter, sample).expect_err("malformed value must be rejected");
             assert!(
                 err.starts_with(var),
                 "error {err:?} must name the variable {var}"

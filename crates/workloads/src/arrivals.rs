@@ -340,7 +340,9 @@ mod tests {
         };
         let seq = |seed| {
             let mut m = ModulatedArrivals::new(p.clone(), seed, "replay");
-            (0..64).map(|_| m.next_arrival().units()).collect::<Vec<_>>()
+            (0..64)
+                .map(|_| m.next_arrival().units())
+                .collect::<Vec<_>>()
         };
         assert_eq!(seq(9), seq(9));
         assert_ne!(seq(9), seq(10));

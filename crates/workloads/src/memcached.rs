@@ -136,8 +136,11 @@ impl Memcached {
     /// Creates the engine with the classic fixed-rate Poisson arrivals at
     /// `cfg.rps`.
     pub fn new(cfg: MemcachedConfig) -> Self {
-        let arrivals =
-            ArrivalSource::Poisson(PoissonArrivals::new(cfg.rps, cfg.seed, "memcached.arrivals"));
+        let arrivals = ArrivalSource::Poisson(PoissonArrivals::new(
+            cfg.rps,
+            cfg.seed,
+            "memcached.arrivals",
+        ));
         Self::with_arrivals(cfg, arrivals)
     }
 

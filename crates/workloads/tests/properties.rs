@@ -32,35 +32,43 @@ fn addresses(engine: &mut dyn WorkloadEngine, n: usize) -> Vec<u64> {
 /// address stays within the configured footprint.
 #[test]
 fn stream_addresses_stay_in_bounds() {
-    cases("workloads.stream_addresses_stay_in_bounds", DEFAULT_CASES, |rng| {
-        let arrays_kb = rng.gen_range(1u64..64);
-        let base_mb = rng.gen_range(0u64..64);
-        let bytes = arrays_kb * 1024;
-        let base = base_mb << 20;
-        let mut s = Stream::new(StreamConfig {
-            array_bytes: bytes,
-            base,
-            compute_per_block: 4,
-        });
-        for a in addresses(&mut s, 500) {
-            assert!(a >= base);
-            assert!(a < base + 3 * bytes);
-            assert_eq!(a % 64, 0);
-        }
-    });
+    cases(
+        "workloads.stream_addresses_stay_in_bounds",
+        DEFAULT_CASES,
+        |rng| {
+            let arrays_kb = rng.gen_range(1u64..64);
+            let base_mb = rng.gen_range(0u64..64);
+            let bytes = arrays_kb * 1024;
+            let base = base_mb << 20;
+            let mut s = Stream::new(StreamConfig {
+                array_bytes: bytes,
+                base,
+                compute_per_block: 4,
+            });
+            for a in addresses(&mut s, 500) {
+                assert!(a >= base);
+                assert!(a < base + 3 * bytes);
+                assert_eq!(a % 64, 0);
+            }
+        },
+    );
 }
 
 /// CacheFlush covers its whole buffer exactly once per pass, in order.
 #[test]
 fn cacheflush_covers_every_line() {
-    cases("workloads.cacheflush_covers_every_line", DEFAULT_CASES, |rng| {
-        let lines = rng.gen_range(1u64..128);
-        let mut f = CacheFlush::new(0x1000, lines * 64);
-        let addrs = addresses(&mut f, lines as usize);
-        let expected: Vec<u64> = (0..lines).map(|i| 0x1000 + i * 64).collect();
-        assert_eq!(addrs, expected);
-        assert_eq!(f.passes(), 1);
-    });
+    cases(
+        "workloads.cacheflush_covers_every_line",
+        DEFAULT_CASES,
+        |rng| {
+            let lines = rng.gen_range(1u64..128);
+            let mut f = CacheFlush::new(0x1000, lines * 64);
+            let addrs = addresses(&mut f, lines as usize);
+            let expected: Vec<u64> = (0..lines).map(|i| 0x1000 + i * 64).collect();
+            assert_eq!(addrs, expected);
+            assert_eq!(f.passes(), 1);
+        },
+    );
 }
 
 /// Memcached sojourn measurements never go backwards in time and the
