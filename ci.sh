@@ -16,6 +16,11 @@ if grep -n "version *= *\"[0-9]" crates/*/Cargo.toml | grep -v "version.workspac
 fi
 echo "ok: path-only dependencies"
 
+echo "== formatting: the workspace is rustfmt-clean =="
+# perfbench/ is a workspace of its own and is not checked here.
+cargo fmt --check
+echo "ok: cargo fmt --check"
+
 echo "== offline release build =="
 cargo build --release --offline --workspace --bins --benches --examples
 

@@ -93,7 +93,7 @@ struct Kernel<E> {
     events_processed: u64,
     /// Observer invoked for the deliveries the kernel trace category
     /// keeps (see [`set_event_hook`](Simulation::set_event_hook)). `None`
-    /// in normal operation, so the delivery loop pays only a branch.
+    /// in normal operation, so run calls take the bare delivery loop.
     /// `Send` because whole machines move between worker threads.
     event_hook: Option<Box<dyn FnMut(Time, ComponentId, &E) + Send>>,
     /// The hook sees one delivery in `hook_every` (fixed by the machine's
@@ -163,8 +163,9 @@ impl<E: 'static> Simulation<E> {
     /// a DS-id filter, every N-th delivery of this machine (counting from
     /// its first); otherwise every
     /// delivery, which is what harnesses counting events see with tracing
-    /// off. Sampled-out deliveries cost a counter decrement; with no hook
-    /// installed the cost is a single branch.
+    /// off. Sampled-out deliveries cost a counter decrement. A run call
+    /// on a machine with no hook and no auditor takes the bare delivery
+    /// loop, which checks for neither.
     pub fn set_event_hook(&mut self, hook: Option<Box<dyn FnMut(Time, ComponentId, &E) + Send>>) {
         self.kernel.event_hook = hook;
     }
@@ -269,32 +270,53 @@ impl<E: 'static> Default for Simulation<E> {
 }
 
 impl<E: 'static> Kernel<E> {
+    /// Whether this call's deliveries need the observed loop: the run is
+    /// audited (delivery-order check) or an event hook is installed.
+    /// Neither can change during a call — the run state is lent for its
+    /// length, and the hook is set only between calls — so each run call
+    /// picks its loop once, and the bare loop carries neither branch.
+    fn observed(&self) -> bool {
+        audit::enabled() || self.event_hook.is_some()
+    }
+
     fn step(&mut self) -> bool {
+        if self.observed() {
+            self.step_with::<true>()
+        } else {
+            self.step_with::<false>()
+        }
+    }
+
+    fn step_with<const OBSERVED: bool>(&mut self) -> bool {
         let Some(due) = self.queue.pop_due(Time::MAX) else {
             return false;
         };
-        self.deliver(due);
+        self.deliver::<OBSERVED>(due);
         true
     }
 
     /// Delivers one popped event: audit, clock, hook, then the
     /// destination component's `handle`. The hook sees the payload in its
     /// slot; the payload then moves out of the slot once, straight into
-    /// `handle`.
+    /// `handle`. The bare form (`OBSERVED` false) skips the audit and hook
+    /// checks, which its caller found off for the whole call.
     #[inline]
-    fn deliver(&mut self, due: Due) {
+    fn deliver<const OBSERVED: bool>(&mut self, due: Due) {
         debug_assert!(due.time >= self.now, "event queue produced a past event");
-        if audit::enabled() {
+        debug_assert!(OBSERVED || !self.observed(), "bare loop on an observed run");
+        if OBSERVED && audit::enabled() {
             self.audit_order(&due);
         }
         self.now = due.time;
         self.events_processed += 1;
-        if let Some(hook) = &mut self.event_hook {
-            if self.hook_left == 0 {
-                self.hook_left = self.hook_every - 1;
-                hook(self.now, due.dst, self.queue.payload(&due));
-            } else {
-                self.hook_left -= 1;
+        if OBSERVED {
+            if let Some(hook) = &mut self.event_hook {
+                if self.hook_left == 0 {
+                    self.hook_left = self.hook_every - 1;
+                    hook(self.now, due.dst, self.queue.payload(&due));
+                } else {
+                    self.hook_left -= 1;
+                }
             }
         }
 
@@ -364,20 +386,36 @@ impl<E: 'static> Kernel<E> {
     }
 
     fn run(&mut self) {
+        if self.observed() {
+            self.run_with::<true>();
+        } else {
+            self.run_with::<false>();
+        }
+    }
+
+    fn run_with<const OBSERVED: bool>(&mut self) {
         loop {
-            if self.take_stop() || !self.step() {
+            if self.take_stop() || !self.step_with::<OBSERVED>() {
                 return;
             }
         }
     }
 
     fn run_until(&mut self, deadline: Time) {
+        if self.observed() {
+            self.run_until_with::<true>(deadline);
+        } else {
+            self.run_until_with::<false>(deadline);
+        }
+    }
+
+    fn run_until_with<const OBSERVED: bool>(&mut self, deadline: Time) {
         loop {
             if self.take_stop() {
                 return;
             }
             match self.queue.pop_due(deadline) {
-                Some(due) => self.deliver(due),
+                Some(due) => self.deliver::<OBSERVED>(due),
                 None => {
                     // Advance the clock to the deadline even if idle, so that
                     // successive run_until calls observe monotonic time.
